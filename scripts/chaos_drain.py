@@ -27,16 +27,6 @@ Pass criteria per round:
   attempts, the failure artifact names the shard, and workers exit
   non-zero.
 
-``--supervisor-rounds N`` adds service-layer rounds on top: a ``repro
-fleet`` supervisor plus a ``repro serve`` front door run the same tiny
-plan end-to-end while the harness SIGKILLs a random worker *and the
-supervisor itself* mid-drain (``fleet_kill``: the orphaned workers keep
-draining, a relaunched supervisor reconverges the fleet to full strength,
-and the served result is byte-identical to the unsharded reference), or
-arms a deterministic poison shard on every worker (``fleet_poison``: the
-served request must surface a structured quarantine error naming the
-poison shard well within its deadline — never a hang or livelock).
-
 Any violation prints a diagnosis and the script exits 1.  Documented in
 ROADMAP.md's benchmark protocol; the ``-m chaos`` pytest marker runs a
 short version of this soak.
@@ -47,15 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -221,8 +207,6 @@ def run_round(
         if not failures:
             problems.append("poison round: no failure artifact under queue/failures/")
         for path in failures:
-            import json
-
             record = json.loads(path.read_text())
             attempts = record.get("attempts", [])
             if len(attempts) != budget:
@@ -248,341 +232,6 @@ def run_round(
     if not problems:
         print(f"  byte-identical to reference ({crashed} scripted crash(es))")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Supervisor rounds: the standing service (fleet + serve) under chaos.
-# ---------------------------------------------------------------------------
-
-#: Names cycled by ``--supervisor-rounds``.
-SUPERVISOR_MENU = ("fleet_kill", "fleet_poison")
-
-
-def launch_supervisor(
-    store: Path, size: int, lease: float, faults: str | None = None
-) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "fleet",
-            "run",
-            "--store",
-            str(store),
-            "--size",
-            str(size),
-            "--lease",
-            str(lease),
-            "--poll",
-            "1",
-        ],
-        env=_subprocess_env(faults),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
-def launch_serve(store: Path) -> tuple[subprocess.Popen, str]:
-    """Start a front door on an ephemeral port; returns (process, base URL)."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--store", str(store)],
-        env=_subprocess_env(None),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
-    line = process.stdout.readline().strip()
-    # First stdout line: "serving http://host:port store=..."
-    url = line.split()[1] if line.startswith("serving ") else ""
-    return process, url
-
-
-def http_json(
-    url: str, payload: dict | None = None, timeout: float = 30.0
-) -> tuple[int, dict]:
-    """GET (or POST *payload* as JSON); returns (status, decoded body).
-
-    Error statuses (4xx/5xx) are returned, not raised — the poison round's
-    whole point is asserting the *shape* of a 502.
-    """
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.load(response)
-    except urllib.error.HTTPError as error:
-        try:
-            return error.code, json.load(error)
-        except (json.JSONDecodeError, ValueError):
-            return error.code, {}
-
-
-def read_fleet_status(store: Path) -> dict:
-    try:
-        return json.loads((store / "fleet" / "status.json").read_text())
-    except (OSError, json.JSONDecodeError, ValueError):
-        return {}
-
-
-def wait_fleet_running(
-    store: Path, size: int, supervisor_pid: int, timeout: float
-) -> list[int] | None:
-    """Worker pids once *supervisor_pid*'s fleet reports *size* running
-    slots, or ``None`` on timeout."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status = read_fleet_status(store)
-        if (
-            status.get("supervisor", {}).get("pid") == supervisor_pid
-            and status.get("running") == size
-        ):
-            pids = [worker.get("pid") for worker in status.get("workers", ())]
-            if all(isinstance(pid, int) for pid in pids):
-                return pids
-        time.sleep(0.2)
-    return None
-
-
-def _terminate(process: subprocess.Popen | None, timeout: float = 30.0) -> int | None:
-    if process is None:
-        return None
-    if process.poll() is None:
-        try:
-            process.terminate()
-        except OSError:
-            pass
-        try:
-            process.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
-    return process.returncode
-
-
-def _reap_orphans(pids: list[int], timeout: float = 30.0) -> None:
-    """SIGTERM (then SIGKILL) workers whose supervisor died under them."""
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGTERM)
-        except (OSError, ProcessLookupError):
-            pass
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if not any(_alive(pid) for pid in pids):
-            return
-        time.sleep(0.2)
-    for pid in pids:
-        if _alive(pid):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (OSError, ProcessLookupError):
-                pass
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        pass
-    return True
-
-
-def run_fleet_kill_round(
-    number: int, reference: Path, scratch: Path, lease: float, timeout: float
-) -> list[str]:
-    """SIGKILL a random worker and then the supervisor mid-drain; assert a
-    relaunched supervisor reconverges the fleet and the served plan still
-    completes byte-identical to the unsharded reference."""
-    directory = scratch / f"round-sup-{number:03d}-fleet_kill" / "store"
-    directory.mkdir(parents=True, exist_ok=True)
-    size = 3
-    print(f"supervisor round {number} [fleet_kill]: size={size}")
-    serve = supervisor = relaunched = None
-    orphans: list[int] = []
-    try:
-        serve, url = launch_serve(directory)
-        if not url:
-            return ["fleet_kill: serve never printed its address"]
-        supervisor = launch_supervisor(directory, size, lease)
-        status_code, admitted = http_json(
-            url + "/plans",
-            {"config": _tiny_config_json(), "shards": SHARDS, "priority": 5},
-        )
-        if status_code != 202:
-            return [f"fleet_kill: POST /plans answered {status_code}: {admitted}"]
-        key = admitted["plan"]
-        pids = wait_fleet_running(directory, size, supervisor.pid, timeout=60.0)
-        if pids is None:
-            return ["fleet_kill: fleet never reached full strength before the kill"]
-        victim = random.Random(number).choice(pids)
-        try:
-            os.kill(victim, signal.SIGKILL)
-            print(f"  SIGKILLed worker pid {victim}")
-        except (OSError, ProcessLookupError):
-            print(f"  worker pid {victim} already gone")
-        time.sleep(0.5)
-        supervisor.kill()
-        supervisor.wait()
-        print(f"  SIGKILLed supervisor pid {supervisor.pid}")
-        orphans = [pid for pid in pids if _alive(pid)]
-
-        relaunched = launch_supervisor(directory, size, lease)
-        status_code, result = http_json(
-            f"{url}/plans/{key}/result?wait=1&deadline={timeout}",
-            timeout=timeout + 30.0,
-        )
-        problems: list[str] = []
-        if status_code != 200:
-            problems.append(
-                f"fleet_kill: served plan never completed "
-                f"(result answered {status_code}: {result})"
-            )
-        if wait_fleet_running(directory, size, relaunched.pid, timeout=60.0) is None:
-            status = read_fleet_status(directory)
-            problems.append(
-                f"fleet_kill: relaunched fleet never reconverged to "
-                f"{size} running slots (status: running={status.get('running')} "
-                f"degraded={status.get('degraded')})"
-            )
-        code = _terminate(relaunched)
-        if code != 0:
-            problems.append(f"fleet_kill: relaunched supervisor drained with exit {code}")
-        _reap_orphans(orphans)
-        final = read_fleet_status(directory)
-        if not final.get("supervisor", {}).get("draining"):
-            problems.append("fleet_kill: final fleet/status.json not marked draining")
-        degraded = final.get("degraded", 0)
-        stopped = sum(
-            1 for worker in final.get("workers", ()) if worker.get("state") == "stopped"
-        )
-        if stopped + degraded != size:
-            problems.append(
-                f"fleet_kill: final status accounts for {stopped} stopped + "
-                f"{degraded} degraded of {size} slots"
-            )
-        leftover = sorted(directory.glob("queue/claims/*.claim"))
-        if leftover:
-            problems.append(
-                f"fleet_kill: claims left after drain: {[p.name for p in leftover]}"
-            )
-        failures = sorted(directory.glob("queue/failures/*.json"))
-        if failures:
-            problems.append(
-                f"fleet_kill: unexpectedly quarantined: {[p.name for p in failures]}"
-            )
-        problems.extend(compare_stores(reference, directory))
-        if not problems:
-            print("  reconverged and byte-identical to reference")
-        return problems
-    finally:
-        _terminate(supervisor)
-        _terminate(relaunched)
-        _reap_orphans(orphans)
-        _terminate(serve)
-
-
-def run_fleet_poison_round(
-    number: int, scratch: Path, lease: float, timeout: float
-) -> list[str]:
-    """Arm a deterministic poison shard on every fleet worker; assert the
-    served request surfaces a structured quarantine error naming the shard
-    well within its deadline."""
-    directory = scratch / f"round-sup-{number:03d}-fleet_poison" / "store"
-    directory.mkdir(parents=True, exist_ok=True)
-    deadline_seconds = timeout
-    print(f"supervisor round {number} [fleet_poison]: deadline={deadline_seconds:.0f}s")
-    serve = supervisor = None
-    try:
-        serve, url = launch_serve(directory)
-        if not url:
-            return ["fleet_poison: serve never printed its address"]
-        supervisor = launch_supervisor(
-            directory, 2, lease, faults="fail_shard:shard=1:p=1"
-        )
-        status_code, admitted = http_json(
-            url + "/plans",
-            {"config": _tiny_config_json(), "shards": SHARDS, "priority": 1},
-        )
-        if status_code != 202:
-            return [f"fleet_poison: POST /plans answered {status_code}: {admitted}"]
-        key = admitted["plan"]
-        started = time.monotonic()
-        status_code, body = http_json(
-            f"{url}/plans/{key}/result?wait=1&deadline={deadline_seconds}",
-            timeout=deadline_seconds + 30.0,
-        )
-        elapsed = time.monotonic() - started
-        problems: list[str] = []
-        if elapsed >= deadline_seconds:
-            problems.append(
-                f"fleet_poison: quarantine took {elapsed:.1f}s — only surfaced "
-                f"by the deadline, not by the failure artifact"
-            )
-        if status_code != 502:
-            problems.append(
-                f"fleet_poison: expected a 502 quarantine, got {status_code}: {body}"
-            )
-        else:
-            if body.get("error") != "plan-quarantined":
-                problems.append(f"fleet_poison: unstructured error body: {body}")
-            if "shard" not in str(body.get("poison_shard", "")):
-                problems.append(
-                    f"fleet_poison: error does not name the poison shard: "
-                    f"{body.get('poison_shard')!r}"
-                )
-            attempts = body.get("record", {}).get("attempts", [])
-            if len(attempts) != default_max_attempts():
-                problems.append(
-                    f"fleet_poison: {len(attempts)} recorded attempts, expected "
-                    f"exactly {default_max_attempts()}"
-                )
-        code = _terminate(supervisor)
-        if code != 1:
-            problems.append(
-                f"fleet_poison: supervisor drained with exit {code}, expected 1 "
-                f"(quarantine observed)"
-            )
-        final = read_fleet_status(directory)
-        if not final.get("quarantine_exits"):
-            problems.append(
-                "fleet_poison: final fleet/status.json recorded no quarantine exits"
-            )
-        if not problems:
-            print(
-                f"  quarantine surfaced through the front door in {elapsed:.1f}s "
-                f"({body.get('poison_shard')})"
-            )
-        return problems
-    finally:
-        _terminate(supervisor)
-        _terminate(serve)
-
-
-def _tiny_config_json() -> dict:
-    """The tiny round config as POST /plans JSON (mirrors tiny_config())."""
-    return {
-        "repository_count": 12,
-        "seed": 3,
-        "synthetic_kernel_count": 5,
-        "executed_global_size": 32,
-        "local_size": 16,
-        "payload_seed": 3,
-        "suites": ["NPB"],
-    }
-
-
-def run_supervisor_round(
-    number: int, reference: Path, scratch: Path, lease: float, timeout: float
-) -> list[str]:
-    name = SUPERVISOR_MENU[number % len(SUPERVISOR_MENU)]
-    if name == "fleet_kill":
-        return run_fleet_kill_round(number, reference, scratch, lease, timeout)
-    return run_fleet_poison_round(number, scratch, lease, timeout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -611,10 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         "--scratch", type=str, default=None, metavar="DIR",
         help="working directory for the round stores (default: a tmpdir, removed)",
     )
-    parser.add_argument(
-        "--supervisor-rounds", type=int, default=0, metavar="N",
-        help="service-layer rounds to append (fleet_kill / fleet_poison cycle)",
-    )
     args = parser.parse_args(argv)
 
     owned_scratch = args.scratch is None
@@ -640,20 +285,13 @@ def main(argv: list[str] | None = None) -> int:
                     args.workers, args.lease, args.timeout,
                 )
             )
-        for number in range(args.supervisor_rounds):
-            violations.extend(
-                run_supervisor_round(
-                    number, reference, scratch, args.lease, args.timeout
-                )
-            )
         elapsed = time.monotonic() - started
-        total = args.rounds + args.supervisor_rounds
         if violations:
             print(f"\nCHAOS FAILED in {elapsed:.1f}s — {len(violations)} violation(s):")
             for violation in violations:
                 print(f"  - {violation}")
             return 1
-        print(f"\nchaos clean: {total} round(s) in {elapsed:.1f}s")
+        print(f"\nchaos clean: {args.rounds} round(s) in {elapsed:.1f}s")
         return 0
     finally:
         if owned_scratch:

@@ -3,8 +3,8 @@
 # perf gate.
 #
 #   scripts/ci_check.sh            # tier-1 only: the merge gate
-#   CHAOS=1 scripts/ci_check.sh    # + the -m chaos soak, including the
-#                                  #   supervisor/service rounds
+#   CHAOS=1 scripts/ci_check.sh    # + the -m chaos soak: the fault menu
+#                                  #   over real worker processes
 #   LINT=1 scripts/ci_check.sh     # + the static-analyzer soundness leg:
 #                                  #   lints every suite kernel and
 #                                  #   cross-checks static vs dynamic
@@ -17,9 +17,9 @@
 # The REPRO_SPECIALIZE=0 leg always runs: it re-executes the differential
 # and specialization suites with analyzer-guided fast paths disabled, so a
 # regression in the generic tier can't hide behind the specialized one.
-# The perf gate needs a quiet machine and a cold store; it restores the
-# snapshot the bench session writes so an opt-in gate run never dirties
-# the committed BENCH artifact.
+# The perf gate needs a quiet machine and a cold store.  Bench sessions
+# write a snapshot only when REPRO_BENCH_OUT names a file, so neither
+# tier-1 nor the gate dirties the committed BENCH artifacts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +29,7 @@ echo "== tier-1: pytest =="
 python -m pytest -x -q
 
 if [[ "${CHAOS:-0}" != "0" ]]; then
-    echo "== chaos soak (-m chaos): fault menu + supervised service rounds =="
+    echo "== chaos soak (-m chaos): fault menu over real worker processes =="
     python -m pytest tests/test_chaos.py -m chaos -x -q
 fi
 
@@ -47,10 +47,6 @@ REPRO_SPECIALIZE=0 python -m pytest tests/test_specialization.py tests/test_exec
 if [[ "${PERFGATE:-0}" != "0" ]]; then
     echo "== perf gate (-m perfgate): phase timings vs committed BENCH =="
     python -m pytest benchmarks -m perfgate -x -q
-    # The bench session rewrites the default snapshot with this run's
-    # timings; the gate already compared against the committed bytes
-    # (git show HEAD:...), so put the committed artifact back.
-    git checkout -- BENCH_PR10.json 2>/dev/null || true
 fi
 
 echo "ci_check: OK"

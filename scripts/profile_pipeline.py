@@ -16,13 +16,11 @@ Usage::
     PYTHONPATH=src python scripts/profile_pipeline.py \
         --shards 4 --workers 4                                        # sharded + pooled
 
-When the checkout provides the stage graph (``repro.store``), the pipeline
-runs through it and the report includes per-stage cache hit/miss results;
-``--warm`` re-runs the whole pipeline against the now-populated store to
-show what a repeat invocation costs per stage.  On older checkouts (no
-``repro.store``) the script falls back to the direct pipeline API with the
-same phase semantics, so it can still be pointed at them
-(``PYTHONPATH=<old>/src``) for before/after comparisons.
+The pipeline runs through the stage graph (``repro.store``), and the
+report includes per-stage cache hit/miss results; ``--warm`` re-runs the
+whole pipeline against the now-populated store to show what a repeat
+invocation costs per stage.  For a same-day before/after comparison, run
+each checkout's own copy of this script (or ``perfbench/run.py``).
 """
 
 from __future__ import annotations
@@ -34,130 +32,53 @@ import os
 import pstats
 import sys
 import time
+from dataclasses import replace
+
+from repro.experiments.common import ExperimentConfig
+from repro.store import PipelineConfig, PipelineRunner, warm_phases
+from repro.store.artifact_store import ArtifactStore
+from repro.store.fingerprint import SCHEMA_VERSIONS
+from repro.store.queue import publish_plan
+from repro.store.shards import resolve_plan
 
 PHASES = ("preprocess", "train", "sample", "execute")
 
 
-def run_pipeline_legacy(
-    kernel_count: int, repository_count: int, timings: dict[str, float]
-) -> dict:
-    """The pre-stage-graph path: direct calls into the stable pipeline API,
-    bypassing the artifact store entirely so its timings are always cold."""
-    from repro.corpus.corpus import Corpus
-    from repro.experiments.common import ExperimentConfig, make_driver, measure_benchmark
-    from repro.synthesis.generator import CLgen
-    from repro.synthesis.sampler import SamplerConfig
-
-    config = ExperimentConfig.quick()
-    config.synthetic_kernel_count = kernel_count
-    config.corpus_repository_count = repository_count
-
-    started = time.perf_counter()
-    corpus = Corpus.mine_and_build(
-        repository_count=config.corpus_repository_count, seed=config.seed
-    )
-    timings["preprocess"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    clgen = CLgen.from_corpus(
-        corpus,
-        backend="ngram",
-        ngram_order=config.ngram_order,
-        sampler_config=SamplerConfig(temperature=config.sampler_temperature),
-    )
-    timings["train"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    synthesis = clgen.generate_kernels(
-        config.synthetic_kernel_count, seed=config.seed, max_attempts_per_kernel=40
-    )
-    timings["sample"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    try:
-        from repro.suites.registry import all_suites
-    except ImportError:  # pragma: no cover - very old checkouts
-        all_suites = lambda: []  # noqa: E731
-    driver = make_driver(config)
-    suite_measurements = 0
-    for suite in all_suites():
-        for benchmark in suite.benchmarks:
-            suite_measurements += len(measure_benchmark(driver, benchmark))
-    scales = [4.0, 16.0, 64.0, 256.0, 1024.0]
-    measured = 0
-    for index, kernel in enumerate(synthesis.kernels):
-        measurement = driver.measure_source(
-            kernel.source, name=f"clgen.{index}", dataset_scale=scales[index % len(scales)]
-        )
-        if measurement is not None:
-            measured += 1
-    timings["execute"] = time.perf_counter() - started
-
-    return {
-        "corpus_kernels": corpus.size,
-        "synthesized": len(synthesis.kernels),
-        "synthetic_measured": measured,
-        "suite_measurements": suite_measurements,
-    }
-
-
-def run_pipeline_staged(
-    kernel_count: int,
-    repository_count: int,
-    timings: dict[str, float],
-    cache_dir: str | None,
-    stage_report: list[dict] | None = None,
-    shards: int | None = None,
-    workers: int | None = None,
-    steal: bool = False,
-    sample_batch: int | None = None,
-):
-    """Run through the stage graph; returns None when unavailable (old tree)."""
-    try:
-        from repro.store import PipelineConfig, PipelineRunner
-    except ImportError:
-        return None
-    from repro.experiments.common import ExperimentConfig
-
+def _stage_config(
+    kernel_count: int, repository_count: int, sample_batch: int | None
+) -> PipelineConfig:
     config = ExperimentConfig.quick()
     config.synthetic_kernel_count = kernel_count
     config.corpus_repository_count = repository_count
     stage_config = PipelineConfig.from_experiment(config)
     if sample_batch is not None:
-        try:
-            from dataclasses import replace
+        stage_config = replace(stage_config, sample_batch=sample_batch)
+    return stage_config
 
-            stage_config = replace(stage_config, sample_batch=sample_batch)
-        except TypeError:  # older stage graph without the wavefront knob
-            print(
-                "warning: this checkout's stage graph has no sample_batch "
-                "knob; --sample-batch ignored",
-                file=sys.stderr,
-            )
 
-    try:
-        # Same precedence semantics as the repro CLI: explicit flags beat
-        # the REPRO_SHARDS/REPRO_WORKERS/REPRO_STEAL environment, and
-        # workers imply shards only when no shard count was given anywhere.
-        from repro.store.shards import resolve_plan
-
-        runner = PipelineRunner(
-            cache_dir=cache_dir,
-            plan=resolve_plan(shards, workers, steal=(True if steal else None)),
-        )
-    except (ImportError, TypeError):  # older stage graph without a shard plan
-        if shards is not None or workers is not None or steal:
-            print(
-                "warning: this checkout's stage graph has no shard plan; "
-                "--shards/--workers/--steal ignored, timings are unsharded",
-                file=sys.stderr,
-            )
-        runner = PipelineRunner(cache_dir=cache_dir)
-    if getattr(runner, "stealing", False):
+def run_pipeline(
+    kernel_count: int,
+    repository_count: int,
+    timings: dict[str, float],
+    cache_dir: str | None = None,
+    stage_report: list[dict] | None = None,
+    shards: int | None = None,
+    workers: int | None = None,
+    steal: bool = False,
+    sample_batch: int | None = None,
+) -> dict:
+    """Run every phase through the stage graph; returns the output counts."""
+    stage_config = _stage_config(kernel_count, repository_count, sample_batch)
+    # Same precedence semantics as the repro CLI: explicit flags beat the
+    # REPRO_SHARDS/REPRO_WORKERS/REPRO_STEAL environment, and workers imply
+    # shards only when no shard count was given anywhere.
+    runner = PipelineRunner(
+        cache_dir=cache_dir,
+        plan=resolve_plan(shards, workers, steal=(True if steal else None)),
+    )
+    if runner.stealing:
         # Publish the plan so concurrently launched `repro worker --store
         # DIR` processes can join this very run and drain its queue.
-        from repro.store.queue import publish_plan
-
         if not runner.plan.sharded:
             print(
                 "warning: --steal without --shards publishes a single-shard "
@@ -222,32 +143,16 @@ def run_execute_repeats(
     repository_count: int,
     repeats: int,
     sample_batch: int | None = None,
-) -> list[float] | None:
+) -> list[float]:
     """``--phase execute --repeat N``: time the execute phase N times.
 
     The upstream phases (preprocess, train, sample) run once into an
     in-memory store; every repeat then resolves the execute stages against
     a fresh store seeded with only the upstream artifacts, with the
     process-wide compilation caches cleared first — so each sample is one
-    cold, isolated execute phase over identical inputs.  Returns ``None``
-    when the stage graph is unavailable (old checkouts).
+    cold, isolated execute phase over identical inputs.
     """
-    try:
-        from repro.store import PipelineConfig, PipelineRunner
-        from repro.store.artifact_store import ArtifactStore
-    except ImportError:
-        return None
-    from repro.experiments.common import ExperimentConfig
-
-    config = ExperimentConfig.quick()
-    config.synthetic_kernel_count = kernel_count
-    config.corpus_repository_count = repository_count
-    stage_config = PipelineConfig.from_experiment(config)
-    if sample_batch is not None:
-        from dataclasses import replace
-
-        stage_config = replace(stage_config, sample_batch=sample_batch)
-
+    stage_config = _stage_config(kernel_count, repository_count, sample_batch)
     upstream_store = ArtifactStore(memory_entries=256)
     upstream = PipelineRunner(store=upstream_store)
     upstream.corpus(stage_config)
@@ -273,40 +178,6 @@ def run_execute_repeats(
         samples.append(seconds)
         print(f"execute repeat {repeat + 1}/{repeats}: {seconds:8.3f} s", file=sys.stderr)
     return samples
-
-
-def run_pipeline(
-    kernel_count: int,
-    repository_count: int,
-    timings: dict[str, float],
-    cache_dir: str | None = None,
-    legacy: bool = False,
-    stage_report: list[dict] | None = None,
-    shards: int | None = None,
-    workers: int | None = None,
-    steal: bool = False,
-    sample_batch: int | None = None,
-) -> dict:
-    if not legacy:
-        counts = run_pipeline_staged(
-            kernel_count, repository_count, timings, cache_dir, stage_report,
-            shards=shards, workers=workers, steal=steal,
-            sample_batch=sample_batch,
-        )
-        if counts is not None:
-            return counts
-    return run_pipeline_legacy(kernel_count, repository_count, timings)
-
-
-def _warm_phases(stage_report: list[dict]) -> list[str]:
-    """Phases tainted by cross-session store warmth (see
-    ``repro.store.stages.warm_phases``): they time store lookups, not
-    pipeline work, so they must not masquerade as a cold BENCH snapshot."""
-    try:
-        from repro.store import warm_phases
-    except ImportError:
-        return []
-    return warm_phases(stage_report)
 
 
 def _print_stage_report(label: str, stage_report: list[dict]) -> None:
@@ -348,8 +219,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="wavefront width for the sample stage (default: "
                              "$REPRO_SAMPLE_BATCH, else 64; every width is "
                              "byte-identical, so this only changes speed)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="force the pre-stage-graph direct pipeline API")
     parser.add_argument("--phase", choices=("execute",), default=None,
                         help="with --repeat, the single phase to time repeatedly "
                              "(only 'execute' is supported)")
@@ -363,20 +232,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat is not None:
         if args.repeat < 1:
             parser.error("--repeat must be at least 1")
-        incompatible = (args.profile or args.json or args.warm or args.legacy
+        incompatible = (args.profile or args.json or args.warm
                         or args.cache_dir or args.shards is not None
                         or args.workers is not None or args.steal)
         if incompatible:
             parser.error("--phase/--repeat runs in-memory and unsharded; it "
-                         "cannot combine with --profile/--json/--warm/--legacy/"
+                         "cannot combine with --profile/--json/--warm/"
                          "--cache-dir/--shards/--workers/--steal")
         samples = run_execute_repeats(
             args.kernels, args.repositories, args.repeat,
             sample_batch=args.sample_batch,
         )
-        if samples is None:
-            print("--phase/--repeat needs the stage graph", file=sys.stderr)
-            return 1
         import statistics
 
         mean = statistics.fmean(samples)
@@ -384,14 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"execute: mean {mean:.3f} s  min {min(samples):.3f} s  "
               f"stdev {stdev:.3f} s  ({len(samples)} repeats)")
         return 0
-    if args.warm and args.legacy:
-        parser.error("--warm needs the stage graph; it cannot combine with --legacy")
-    if args.legacy and (args.shards is not None or args.workers is not None or args.steal):
-        parser.error("--shards/--workers/--steal need the stage graph; "
-                     "they cannot combine with --legacy")
-    if args.legacy and args.sample_batch is not None:
-        parser.error("--sample-batch needs the stage graph; "
-                     "it cannot combine with --legacy")
     if args.steal and not args.cache_dir and not os.environ.get("REPRO_STORE_DIR"):
         parser.error("--steal needs an on-disk store; pass --cache-dir "
                      "(or set REPRO_STORE_DIR)")
@@ -402,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
         counts = run_pipeline(args.kernels, args.repositories, timings,
-                              cache_dir=args.cache_dir, legacy=args.legacy,
+                              cache_dir=args.cache_dir,
                               stage_report=cold_stages,
                               shards=args.shards, workers=args.workers,
                               steal=args.steal, sample_batch=args.sample_batch)
@@ -413,20 +271,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"profile written to {args.profile}")
     else:
         counts = run_pipeline(args.kernels, args.repositories, timings,
-                              cache_dir=args.cache_dir, legacy=args.legacy,
+                              cache_dir=args.cache_dir,
                               stage_report=cold_stages,
                               shards=args.shards, workers=args.workers,
                               steal=args.steal, sample_batch=args.sample_batch)
 
     warm_timings: dict[str, float] = {}
     warm_stages: list[dict] = []
-    if args.warm and not cold_stages:
-        # The legacy path (or an old checkout's fallback) never consults the
-        # store; a "warm" rerun would just repeat the cold pipeline.
-        print("warm pass skipped: no stage graph on this path", file=sys.stderr)
-    elif args.warm:
+    if args.warm:
         run_pipeline(args.kernels, args.repositories, warm_timings,
-                     cache_dir=args.cache_dir, legacy=args.legacy,
+                     cache_dir=args.cache_dir,
                      stage_report=warm_stages,
                      shards=args.shards, workers=args.workers,
                      steal=args.steal, sample_batch=args.sample_batch)
@@ -450,12 +304,14 @@ def main(argv: list[str] | None = None) -> int:
     print(", ".join(f"{key}={value}" for key, value in counts.items()))
 
     if args.json:
-        warm = _warm_phases(cold_stages)
+        # Warm phases timed store lookups, not pipeline work, so they must
+        # not masquerade as a cold BENCH snapshot.
+        warm = warm_phases(cold_stages)
         if warm:
             print(
                 f"snapshot NOT written: phases {', '.join(warm)} were served "
                 "from the artifact store (warm); re-run with a cold store "
-                "(clear it or unset REPRO_STORE_DIR), or use --legacy",
+                "(clear it or unset REPRO_STORE_DIR)",
                 file=sys.stderr,
             )
             return 1
@@ -465,18 +321,12 @@ def main(argv: list[str] | None = None) -> int:
             "total_seconds": round(total, 3),
             "counts": counts,
             "unix_time": int(time.time()),
-        }
-        try:
-            from repro.store.fingerprint import SCHEMA_VERSIONS
-
             # The synthesis schema version rides along so bench_compare can
             # flag (rather than fail) sample comparisons across a sampling
             # semantics bump, where every kernel legitimately changed.
-            snapshot["sample_schema"] = SCHEMA_VERSIONS.get("synthesis", 1)
-        except ImportError:  # pre-stage-graph checkout
-            pass
-        if cold_stages:
-            snapshot["stages"] = cold_stages
+            "sample_schema": SCHEMA_VERSIONS.get("synthesis", 1),
+            "stages": cold_stages,
+        }
         if warm_timings:
             snapshot["warm_phases_seconds"] = {
                 k: round(v, 3) for k, v in warm_timings.items()

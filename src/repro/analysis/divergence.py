@@ -417,6 +417,12 @@ class _FunctionAnalyzer:
     def _declare(self, declarator: ast.Declarator) -> None:
         name = declarator.name
         declared = declarator.declared_type
+        if name in self.buffers or name in self.private_arrays:
+            # A declaration shadowing a pointer or array (e.g. `int x =
+            # get_global_id(0)` over a buffer parameter `x`): the flat name
+            # model cannot tell which binding a later use means, while the
+            # engines scope them properly, so keep the kernel out of SAFE.
+            self.flag(FLAG_UNKNOWN_CONSTRUCT)
         if _is_vector_type(declared):
             self.flag(FLAG_VECTOR_DECL)
         if declarator.array_size is not None:

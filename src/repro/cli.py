@@ -8,8 +8,7 @@ Sub-commands mirror the original tool's workflow:
 * ``experiments`` — regenerate every table/figure and print the report
 * ``pipeline``    — run every stage once and report per-stage cache hits/timings
 * ``worker``      — join published pipeline plans and drain their queues
-* ``fleet``       — supervise a standing pool of resident workers
-* ``serve``       — stateless HTTP front door publishing plans into the store
+* ``queue``       — ``status`` of the work-stealing claim queue
 * ``store``       — ``stats`` / ``gc`` for the on-disk artifact store
 * ``lint``        — static kernel analyzer (bailout prediction, soundness gate)
 
@@ -22,7 +21,8 @@ results bit-identical to an unsharded run.  ``--steal`` goes further:
 instead of static ranges, pending work is claimed from a lease-based
 queue in the store, ``repro pipeline --steal`` publishes its plan, and
 any number of ``repro worker --store DIR`` processes join in and drain
-it until the merge fires.
+it until the merge fires (``--watch`` keeps a worker resident for plans
+published later).
 
 Every sub-command resolves its heavy inputs through the pipeline stage
 graph (:mod:`repro.store`): with ``--cache-dir`` (or ``REPRO_STORE_DIR``)
@@ -75,15 +75,21 @@ def _parse_size(text: str) -> int:
 def _parse_age(text: str) -> float:
     """``"7d"`` / ``"12h"`` / ``"30m"`` / plain seconds → seconds (must be >= 0).
 
-    Shares its grammar with the service-layer duration knobs
-    (:func:`repro.envutil.parse_duration`, e.g. ``REPRO_SERVE_DEADLINE``).
+    The ``repro store gc --max-age`` grammar.  A negative age would read as
+    "evict everything", so it is rejected like malformed or NaN input.
     """
-    from repro.envutil import parse_duration
-
+    units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
+    raw = text.strip().lower()
     try:
-        return parse_duration(text)
-    except (ValueError, OverflowError):
+        if raw and raw[-1] in units:
+            value = float(raw[:-1]) * units[raw[-1]]
+        else:
+            value = float(raw)
+    except ValueError:
+        value = -1.0
+    if not value >= 0:  # malformed, negative or NaN
         raise argparse.ArgumentTypeError(f"not a duration: {text!r} (try 30m, 12h, 7d)")
+    return value
 
 
 def _format_bytes(count: int) -> str:
@@ -296,8 +302,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     A plan whose shard exhausted its retry budget (``PlanFailed``) does not
     take the worker down: the failure artifact is summarized, the remaining
-    plans still drain, and the exit status is non-zero so a fleet
-    supervisor sees the quarantine.  With ``--watch`` the worker stays
+    plans still drain, and the exit status is non-zero so whoever launched
+    the worker sees the quarantine.  With ``--watch`` the worker stays
     resident, polling for newly published plans with jittered backoff and
     draining them as they appear, until SIGTERM (or SIGINT) asks it to
     finish its current stage and exit cleanly.
@@ -381,8 +387,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                 drained_keys.add(key)
             if not args.watch or stop.is_set():
                 break
-            # Jittered backoff between polls: idle workers ease off (so a
-            # fleet does not hammer a shared filesystem in lockstep), and
+            # Jittered backoff between polls: idle workers ease off (so many
+            # watchers do not hammer a shared filesystem in lockstep), and
             # any pass that found real work snaps back to the floor.
             if computed_this_pass:
                 poll_seconds = 0.5
@@ -408,8 +414,8 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
     """Inspect the claim queue: live claims and quarantined failures.
 
     Both renderings come from the same :func:`repro.store.queue.queue_status`
-    payload the serve layer's ``GET /queue`` returns, so the dashboard, the
-    CLI and the front door can never disagree about queue state.
+    payload, so the human table and ``--json`` can never disagree about
+    queue state.
     """
     import json
 
@@ -449,137 +455,6 @@ def _cmd_queue_status(args: argparse.Namespace) -> int:
         print(f"  {record.get('task', '?')[:16]}  {len(attempts)} attempts  "
               f"last error: {last}")
     return 1 if failures else 0
-
-
-def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    """Supervise a standing pool of ``repro worker --watch`` processes.
-
-    Crash-only: the supervisor's bookkeeping is re-derivable, its workers
-    survive its death, and a replacement supervisor on the same store just
-    works.  See :mod:`repro.store.supervisor` for the exit-classification
-    and restart-budget policy.
-    """
-    from repro.store import resolve_store
-    from repro.store.supervisor import FleetSupervisor
-
-    store = resolve_store(args.store)
-    if store.directory is None:
-        print(
-            "error: a fleet needs an on-disk store; pass --store or set "
-            "REPRO_STORE_DIR",
-            file=sys.stderr,
-        )
-        return 2
-    supervisor = FleetSupervisor(
-        store.directory,
-        size=args.size,
-        max_restarts=args.restarts,
-        window_seconds=args.window,
-        lease_seconds=args.lease,
-        poll_seconds=args.poll,
-        drain_grace=args.drain_grace,
-    )
-    print(
-        f"fleet: supervising {supervisor.size} worker(s) over "
-        f"{store.directory} (SIGTERM drains; status in fleet/status.json)",
-        file=sys.stderr,
-    )
-    return supervisor.run()
-
-
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    """Report the last ``fleet/status.json`` a supervisor published."""
-    import json
-    import time
-
-    from repro.store import resolve_store
-    from repro.store.supervisor import read_fleet_status
-
-    store = resolve_store(args.store)
-    if store.directory is None:
-        print(
-            "error: fleet status lives in an on-disk store; pass --store or "
-            "set REPRO_STORE_DIR",
-            file=sys.stderr,
-        )
-        return 2
-    status = read_fleet_status(store.directory)
-    if status is None:
-        print(
-            f"no fleet status published in {store.directory} "
-            "(start a supervisor with `repro fleet run`)",
-            file=sys.stderr,
-        )
-        return 1
-    if getattr(args, "json", False):
-        print(json.dumps(status, indent=2))
-        return 0
-    supervisor = status.get("supervisor", {})
-    age = max(time.time() - status.get("updated_at", 0.0), 0.0)
-    draining = ", draining" if supervisor.get("draining") else ""
-    print(
-        f"fleet: {status.get('running', 0)}/{status.get('size', '?')} running, "
-        f"{status.get('degraded', 0)} degraded "
-        f"(supervisor pid {supervisor.get('pid', '?')}, "
-        f"updated {age:.1f}s ago{draining})"
-    )
-    for worker in status.get("workers", ()):
-        line = (
-            f"  slot {worker.get('index', '?')}: {worker.get('state', '?'):<9} "
-            f"pid {worker.get('pid') or '-':<8} "
-            f"respawns {worker.get('respawns', 0)}"
-        )
-        if worker.get("last_exit") is not None:
-            line += (
-                f"  last exit {worker['last_exit']} "
-                f"({worker.get('last_exit_class', '?')})"
-            )
-        print(line)
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the stateless HTTP front door (see :mod:`repro.store.serve`)."""
-    import signal
-    import threading
-
-    from repro.store import resolve_store
-    from repro.store.serve import build_server
-
-    store = resolve_store(args.store)
-    if store.directory is None:
-        print(
-            "error: the front door needs an on-disk store; pass --store or "
-            "set REPRO_STORE_DIR",
-            file=sys.stderr,
-        )
-        return 2
-    server = build_server(
-        store.directory,
-        host=args.host,
-        port=args.port,
-        max_plans=args.max_plans,
-        deadline_seconds=args.deadline,
-        quiet=not args.verbose,
-    )
-    host, port = server.server_address[:2]
-    # The first stdout line is machine-readable on purpose: callers that
-    # asked for an ephemeral port (--port 0) parse the bound address here.
-    print(f"serving http://{host}:{port} store={store.directory}", flush=True)
-    if threading.current_thread() is threading.main_thread():
-        def shutdown(signum, frame):
-            # shutdown() blocks until serve_forever returns, so it must run
-            # off the serving thread the signal interrupted.
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, shutdown)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        server.server_close()
-    print("serve: drained", file=sys.stderr)
-    return 0
 
 
 def _store_for(args: argparse.Namespace):
@@ -792,8 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority",
         type=int,
         default=0,
-        help="with --steal, the priority the published plan carries; the "
-             "fleet drains higher-priority plans first (default: 0)",
+        help="with --steal, the priority the published plan carries; "
+             "workers drain higher-priority plans first (default: 0)",
     )
     pipeline.set_defaults(func=_cmd_pipeline)
 
@@ -859,135 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
     queue_status.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable status payload (the same one the "
-             "serve layer's GET /queue returns)",
+        help="emit the machine-readable status payload "
+             "(repro.store.queue.queue_status)",
     )
     queue_status.set_defaults(func=_cmd_queue_status)
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="supervise a standing pool of resident workers (crash-only: "
-             "respawn on chaos/crash, degrade past the restart budget)",
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_run = fleet_sub.add_parser(
-        "run",
-        help="spawn and monitor N `repro worker --watch` processes until "
-             "SIGTERM drains the fleet",
-    )
-    fleet_run.add_argument(
-        "--store",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="the shared artifact-store directory (default: $REPRO_STORE_DIR)",
-    )
-    fleet_run.add_argument(
-        "--size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes to keep alive (default: $REPRO_FLEET_SIZE, else 2)",
-    )
-    fleet_run.add_argument(
-        "--restarts",
-        type=int,
-        default=None,
-        metavar="R",
-        help="real-crash restarts allowed per slot per rolling window before "
-             "the slot degrades (default: $REPRO_FLEET_RESTARTS, else 3)",
-    )
-    fleet_run.add_argument(
-        "--window",
-        type=_parse_age,
-        default=None,
-        metavar="AGE",
-        help="rolling window the restart budget counts within "
-             "(default: $REPRO_FLEET_WINDOW, else 60s)",
-    )
-    fleet_run.add_argument(
-        "--lease",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="claim lease forwarded to the workers "
-             "(default: $REPRO_QUEUE_LEASE, else 300)",
-    )
-    fleet_run.add_argument(
-        "--poll",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="workers' maximum idle-poll interval (default: 5)",
-    )
-    fleet_run.add_argument(
-        "--drain-grace",
-        type=_parse_age,
-        default=60.0,
-        metavar="AGE",
-        help="how long a SIGTERM drain waits for workers to finish their "
-             "current stage before killing them (default: 60s)",
-    )
-    fleet_run.set_defaults(func=_cmd_fleet_run)
-    fleet_status = fleet_sub.add_parser(
-        "status",
-        help="report the fleet/status.json heartbeat the supervisor "
-             "publishes into the store",
-    )
-    fleet_status.add_argument(
-        "--store",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="the shared artifact-store directory (default: $REPRO_STORE_DIR)",
-    )
-    fleet_status.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the raw fleet/status.json payload",
-    )
-    fleet_status.set_defaults(func=_cmd_fleet_status)
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="stateless HTTP front door: admit synthesis requests as plan "
-             "artifacts, stream progress, surface quarantines",
-    )
-    serve.add_argument(
-        "--store",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="the shared artifact-store directory (default: $REPRO_STORE_DIR)",
-    )
-    serve.add_argument("--host", type=str, default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="listen port (default: 0 = ephemeral; the bound address is "
-             "printed on the first stdout line)",
-    )
-    serve.add_argument(
-        "--max-plans",
-        type=int,
-        default=None,
-        metavar="N",
-        help="admission bound on unfinished plans; past it POST /plans "
-             "answers 503 Retry-After (default: $REPRO_SERVE_MAX_PLANS, else 4)",
-    )
-    serve.add_argument(
-        "--deadline",
-        type=_parse_age,
-        default=None,
-        metavar="AGE",
-        help="default per-request deadline for blocking/streaming endpoints "
-             "(default: $REPRO_SERVE_DEADLINE, else 600s)",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request to stderr"
-    )
-    serve.set_defaults(func=_cmd_serve)
 
     store = subparsers.add_parser(
         "store", help="inspect or bound the on-disk artifact store"

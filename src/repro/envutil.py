@@ -114,52 +114,6 @@ def env_size(name: str, default: int | None = None) -> int | None:
         return default
 
 
-def parse_duration(text: str) -> float:
-    """``"30s"`` / ``"12h"`` / ``"7d"`` / plain seconds → seconds.
-
-    Raises :class:`ValueError` on malformed input or a negative duration
-    (the CLI and the env parser wrap this with their own error reporting).
-    """
-    units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
-    raw = text.strip().lower()
-    if raw and raw[-1] in units:
-        value = float(raw[:-1]) * units[raw[-1]]
-    else:
-        value = float(raw)
-    if value != value:
-        raise ValueError(f"duration is NaN: {text!r}")
-    if value < 0:
-        raise ValueError(f"duration must be >= 0, got {text!r}")
-    return value
-
-
-def env_duration(
-    name: str, default: float = 0.0, minimum: float | None = None
-) -> float:
-    """The duration value of ``$name`` in seconds (suffixes: 30s, 10m, 2h).
-
-    Used for the service-layer knobs (``REPRO_SERVE_DEADLINE``,
-    ``REPRO_FLEET_WINDOW``); same degrade-to-default contract as
-    :func:`env_float`, with a suffix grammar shared with ``repro store gc
-    --max-age``.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = parse_duration(raw)
-    except (ValueError, OverflowError):
-        _warn(
-            f"ignoring malformed {name}={raw!r} (expected a duration like "
-            f"30, 45s or 10m); using {default}"
-        )
-        return default
-    if minimum is not None and value < minimum:
-        _warn(f"clamping {name}={raw!r} to the minimum of {minimum}")
-        return minimum
-    return value
-
-
 def env_text(name: str, default: str | None = None) -> str | None:
     """The raw (stripped) text value of ``$name``, or *default* when unset
     or blank.

@@ -26,7 +26,7 @@ import weakref
 from collections import OrderedDict
 
 from repro.clc import ast_nodes as ast
-from repro.errors import LockstepBailout
+from repro.errors import KernelRuntimeError, LockstepBailout
 from repro.execution.compiler import CompiledKernel
 from repro.execution.interpreter import ExecutionResult, KernelInterpreter
 from repro.execution.memory import MemoryPool
@@ -399,32 +399,40 @@ def run_kernel(
 
     *arena* is an optional :class:`~repro.execution.memory.LaneArena` the
     lockstep tiers recycle their scratch NumPy allocations through.
-    """
-    if engine == "interpreter":
-        interpreter = KernelInterpreter(unit, kernel_name, max_steps_per_item)
-        return interpreter.execute(pool, scalar_args, ndrange)
-    if engine in ("auto", "vectorized"):
-        attempt = True
-        if engine == "auto" and _static_routing_enabled():
-            verdict = analysis_verdict_for(unit, kernel_name)
-            if getattr(verdict, "skip_vectorization", False):
-                from repro.analysis import ANALYSIS_STATS
 
-                ANALYSIS_STATS.routed_skips += 1
-                attempt = False
-        if attempt:
-            if engine == "auto" and _specialize_enabled():
-                specialized = specialized_kernel_for(unit, kernel_name, max_steps_per_item)
-                if specialized is not None:
+    Every engine raises :class:`~repro.errors.KernelRuntimeError` for a
+    kernel whose arithmetic overflows a Python float (e.g. an unbounded
+    integer squared into a float expression), like any other illegal
+    operation, so callers drop the kernel instead of crashing.
+    """
+    try:
+        if engine == "interpreter":
+            interpreter = KernelInterpreter(unit, kernel_name, max_steps_per_item)
+            return interpreter.execute(pool, scalar_args, ndrange)
+        if engine in ("auto", "vectorized"):
+            attempt = True
+            if engine == "auto" and _static_routing_enabled():
+                verdict = analysis_verdict_for(unit, kernel_name)
+                if getattr(verdict, "skip_vectorization", False):
+                    from repro.analysis import ANALYSIS_STATS
+
+                    ANALYSIS_STATS.routed_skips += 1
+                    attempt = False
+            if attempt:
+                if engine == "auto" and _specialize_enabled():
+                    specialized = specialized_kernel_for(unit, kernel_name, max_steps_per_item)
+                    if specialized is not None:
+                        try:
+                            return specialized.execute(pool, scalar_args, ndrange, arena)
+                        except LockstepBailout:
+                            pass  # misprediction: re-run on the generic tier
+                vectorized = vectorized_kernel_for(unit, kernel_name, max_steps_per_item)
+                if vectorized is not None:
                     try:
-                        return specialized.execute(pool, scalar_args, ndrange, arena)
+                        return vectorized.execute(pool, scalar_args, ndrange, arena)
                     except LockstepBailout:
-                        pass  # misprediction: re-run on the generic tier
-            vectorized = vectorized_kernel_for(unit, kernel_name, max_steps_per_item)
-            if vectorized is not None:
-                try:
-                    return vectorized.execute(pool, scalar_args, ndrange, arena)
-                except LockstepBailout:
-                    pass
-    compiled = compiled_kernel_for(unit, kernel_name, max_steps_per_item)
-    return compiled.execute(pool, scalar_args, ndrange)
+                        pass
+        compiled = compiled_kernel_for(unit, kernel_name, max_steps_per_item)
+        return compiled.execute(pool, scalar_args, ndrange)
+    except OverflowError as error:
+        raise KernelRuntimeError(f"arithmetic overflow: {error}") from error

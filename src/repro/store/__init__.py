@@ -49,41 +49,19 @@ _STAGE_EXPORTS = {
     "warm_phases",
 }
 
-#: Service-layer symbols, also lazy: the serve module imports the stage
-#: graph at module scope (same circularity), and the supervisor rides
-#: along so `import repro.store` stays cheap for subprocess workers.
-_SERVICE_EXPORTS = {
-    "FleetSupervisor": "repro.store.supervisor",
-    "RestartBudget": "repro.store.supervisor",
-    "classify_exit": "repro.store.supervisor",
-    "default_fleet_restarts": "repro.store.supervisor",
-    "default_fleet_size": "repro.store.supervisor",
-    "read_fleet_status": "repro.store.supervisor",
-    "build_server": "repro.store.serve",
-    "default_deadline_seconds": "repro.store.serve",
-    "default_max_plans": "repro.store.serve",
-    "plan_status": "repro.store.serve",
-}
-
 
 def __getattr__(name: str):
     if name in _STAGE_EXPORTS:
         from repro.store import stages
 
         return getattr(stages, name)
-    if name in _SERVICE_EXPORTS:
-        import importlib
-
-        return getattr(importlib.import_module(_SERVICE_EXPORTS[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArtifactStore",
     "CRASH_EXIT_CODE",
-    "FleetSupervisor",
     "GCResult",
     "GLOBAL_MEMORY_STORE",
-    "RestartBudget",
     "StoreStats",
     "PipelineConfig",
     "PipelineRunner",
@@ -94,15 +72,9 @@ __all__ = [
     "ShardQueue",
     "StageEvent",
     "SuiteMeasurementSet",
-    "build_server",
-    "classify_exit",
     "corpus_fingerprint",
-    "default_deadline_seconds",
-    "default_fleet_restarts",
-    "default_fleet_size",
     "default_io_retries",
     "default_max_attempts",
-    "default_max_plans",
     "default_runner",
     "default_store_directory",
     "default_store_max_bytes",
@@ -115,10 +87,8 @@ __all__ = [
     "plan_fingerprint",
     "plan_from_env",
     "plan_priority",
-    "plan_status",
     "publish_plan",
     "queue_status",
-    "read_fleet_status",
     "resolve_store",
     "retry_io",
     "schema_version",

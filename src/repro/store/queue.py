@@ -13,14 +13,16 @@ coordinator.
 
 Crash tolerance comes from **leases**: a claim carries its creation time
 (the file's mtime), and a claim older than the lease is treated as
-abandoned — some worker died mid-shard.  Stealing an expired claim is a
-two-step dance that preserves single-winner semantics: rename the stale
-claim file away (``os.rename`` has exactly one winner; losers see
-``ENOENT``) and then re-create the claim with ``O_EXCL`` as usual.  The
-artifact a crashed worker half-wrote is invisible by construction — store
-writes land via temp file + ``os.replace``, so an interrupted shard leaves
-only a stale ``.tmp.`` spill (swept by gc), never a truncated entry.  A
-long *live* computation is distinguished from a dead worker by its
+abandoned — some worker died mid-shard.  A thief takes an expired claim
+over *in place*: it rewrites the claim file rather than moving it aside,
+so the slot is never vacant for an ordinary claimer to win beside it, and
+thieves exclude one another with an ``O_EXCL`` token named after the
+expired claim's identity (inode + mtime) — one winner per expired claim,
+however late a rival thief judged it.  The artifact a crashed worker
+half-wrote is invisible by construction — store writes land via temp
+file + ``os.replace``, so an interrupted shard leaves only a stale
+``.tmp.`` spill (swept by gc), never a truncated entry.  A long *live*
+computation is distinguished from a dead worker by its
 **heartbeat**: the claim holder refreshes the lease from a daemon thread
 every third of the lease period (:meth:`ShardQueue.heartbeat`), so only a
 worker that actually stopped — crashed, killed, wedged hard enough that
@@ -179,7 +181,7 @@ class ShardQueue:
 
         Returns ``True`` for exactly one caller per claim lifetime: the
         ``O_EXCL`` create admits a single winner, and an expired claim is
-        stolen through a single-winner ``os.rename`` before re-claiming.
+        taken over in place by the single thief holding its steal token.
         A quarantined task is never claimable, and stealing an expired
         claim records the dead holder's attempt — so a shard that kills
         every worker that touches it runs out of retry budget instead of
@@ -194,50 +196,21 @@ class ShardQueue:
             return False
         if self._create_claim(path, task_id):
             return True
-        if not self._expired(path):
-            return False
-        # Steal: move the stale claim aside.  os.rename of one source has
-        # exactly one winner — every losing stealer gets ENOENT — and the
-        # slot then reopens for an ordinary O_EXCL claim (which a third
-        # worker may legitimately win first).
-        stale = path.with_name(
-            f"{path.name}.stale.{os.getpid()}.{threading.get_ident()}"
-        )
-        try:
-            os.rename(path, stale)
-        except OSError:
-            return False
-        # We own the renamed file: read the dead holder's record before
-        # discarding it, and charge the death against the task's budget.
-        dead = {}
-        try:
-            dead = json.loads(stale.read_text())
-        except (OSError, json.JSONDecodeError, ValueError):
-            pass
-        try:
-            stale.unlink()
-        except OSError:
-            pass
-        if self._record_attempt(
-            task_id,
-            worker=dead.get("worker", "unknown"),
-            error="lease expired: worker crashed or stalled mid-compute "
-            "(no heartbeat within the lease)",
-            traceback_text=None,
-        ):
-            return False  # that death exhausted the budget: quarantined
-        return self._create_claim(path, task_id)
+        return self._steal(path, task_id)
 
-    def _create_claim(self, path: Path, task_id: str) -> bool:
-        from repro.store.artifact_store import retry_io
-
-        payload = json.dumps(
+    def _claim_payload(self, task_id: str) -> str:
+        return json.dumps(
             {
                 "worker": self.worker_id,
                 "claimed_at": time.time(),
                 "attempt": len(self.attempts(task_id)) + 1,
             }
         )
+
+    def _create_claim(self, path: Path, task_id: str) -> bool:
+        from repro.store.artifact_store import retry_io
+
+        payload = self._claim_payload(task_id)
 
         def create() -> int:
             fault_point("io_error", op="claim")
@@ -253,15 +226,72 @@ class ShardQueue:
             handle.write(payload)
         return True
 
-    def _expired(self, path: Path) -> bool:
+    def _steal(self, path: Path, task_id: str) -> bool:
+        """Take the claim at *path* over in place if its lease expired.
+
+        The token's name is the expired claim's identity, so ``O_EXCL``
+        admits one thief per expired claim.  The winner re-checks that
+        identity before touching the file: a thief that judged an older
+        state of the claim (one another thief already took over, say)
+        backs off instead of stealing a live claim.  A token older than
+        the lease was left by a thief that died mid-steal; it is removed
+        so a later sweep can retry.
+        """
         try:
-            age = time.time() - path.stat().st_mtime
+            seen = path.stat()
         except OSError:
             # Vanished between the failed create and this stat: the holder
-            # completed (or a stealer renamed it).  Not ours to steal; the
-            # caller re-probes the store / retries the claim.
+            # completed.  Not ours to steal; the caller re-probes the store
+            # / retries the claim.
             return False
-        return age > self.lease_seconds
+        if time.time() - seen.st_mtime <= self.lease_seconds:
+            return False
+        identity = (seen.st_ino, seen.st_mtime_ns)
+        token = path.with_name(f"{path.name}.stale.{identity[0]}.{identity[1]}")
+        try:
+            os.close(os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            try:
+                if time.time() - token.stat().st_mtime > self.lease_seconds:
+                    token.unlink()
+            except OSError:
+                pass
+            return False
+        except OSError:
+            return False
+        try:
+            current = path.stat()
+            if (current.st_ino, current.st_mtime_ns) != identity:
+                return False
+            # Read the dead holder's record before overwriting it, and
+            # charge the death against the task's budget.
+            dead = {}
+            try:
+                dead = json.loads(path.read_text())
+            except (OSError, json.JSONDecodeError, ValueError):
+                pass
+            if self._record_attempt(
+                task_id,
+                worker=dead.get("worker", "unknown"),
+                error="lease expired: worker crashed or stalled mid-compute "
+                "(no heartbeat within the lease)",
+                traceback_text=None,
+            ):
+                self.release(task_id)
+                return False  # that death exhausted the budget: quarantined
+            # No O_CREAT: if the claim vanished meanwhile, there is nothing
+            # left to take over.
+            descriptor = os.open(path, os.O_WRONLY | os.O_TRUNC)
+            with os.fdopen(descriptor, "w") as handle:
+                handle.write(self._claim_payload(task_id))
+            return True
+        except OSError:
+            return False
+        finally:
+            try:
+                token.unlink()
+            except OSError:
+                pass
 
     def refresh(self, task_id: str) -> None:
         """Extend the lease of a held claim (the heartbeat calls this so
@@ -335,7 +365,7 @@ class ShardQueue:
     ) -> bool:
         """Append one failed attempt; quarantine when the budget is spent.
 
-        Only the claim winner (or the steal-rename winner) calls this, so
+        Only the claim winner (or the steal-token winner) calls this, so
         the read-modify-write on the history file is single-writer by the
         claim protocol; the write itself is atomic (temp + ``os.replace``)
         so concurrent *readers* never see a torn history.
@@ -422,8 +452,8 @@ class ShardQueue:
 
         Priority first: tasks are grouped by descending priority (a missing
         entry in *priorities* reads as 0), so every worker finishes all
-        higher-priority pending work before touching lower — the serve
-        layer's per-plan priority field lands here.  Within one priority
+        higher-priority pending work before touching lower — a published
+        plan's priority field lands here.  Within one priority
         class the worker-id-hashed :meth:`sweep_offset` rotation still
         applies, so equal-priority workers spread their first touches
         instead of contending for the same claim.
@@ -543,9 +573,9 @@ def load_plans(store) -> list[tuple[str, dict]]:
 def queue_status(directory, lease_seconds: float | None = None) -> dict:
     """Machine-readable queue state for one store directory.
 
-    The single code path behind ``repro queue status --json`` and the serve
-    layer's ``GET /queue`` endpoint, so dashboards and the front door can
-    never disagree about what "live" or "quarantined" means.
+    The single code path behind ``repro queue status`` (human and
+    ``--json``), so every rendering agrees on what "live" or
+    "quarantined" means.
     """
     queue = ShardQueue(directory, lease_seconds=lease_seconds)
     claims = queue.claim_records()

@@ -692,8 +692,8 @@ def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
     def sweep(claim: bool) -> bool:
         progressed = False
         queue = runner.queue()
-        # Priority classes first (the serve layer's per-plan priority rides
-        # on the runner), then the worker-id-hashed rotation within each
+        # Priority classes first (the published plan's priority rides on
+        # the runner), then the worker-id-hashed rotation within each
         # class: wide fan-outs would otherwise have every worker contend
         # for the same first pending shard, lose, and shift by one —
         # O(workers) wasted claim attempts per shard.

@@ -80,6 +80,25 @@ class TestSafeClass:
         )
         assert verdict.classification is not Classification.SAFE
 
+    def test_scalar_shadowing_a_buffer_never_safe(self):
+        # The local `x` is each lane's global id, so the guard diverges;
+        # read as the buffer parameter `x` it looked uniform, and the
+        # specialized tier mispredicted (a generated transpose archetype).
+        verdict = _verdict(
+            """
+            __kernel void transpose(__global const double* x, __global double* z,
+                                    const int width, const int ny) {
+              int x = get_global_id(0);
+              int y = get_global_id(1);
+              if (x < width && y < ny) {
+                z[x * ny + y] = x[y * width + x];
+              }
+            }
+            """
+        )
+        assert verdict.classification is not Classification.SAFE
+        assert not verdict.specialization.eligible
+
 
 class TestBailoutCauses:
     def test_divergent_barrier_is_certain_bailout(self):

@@ -5,10 +5,8 @@ crash mid-shard, crash before the merge lands, torn store write, transient
 put errors, and a deterministic poison shard — each round killing real
 ``repro worker`` subprocesses and asserting the surviving fleet's merged
 artifacts are byte-identical to an unsharded run (or, for the poison
-round, that the plan quarantines after exactly the retry budget).  The
-service-layer rounds do the same through the front door: a ``repro
-fleet`` supervisor and a ``repro serve`` replica survive SIGKILLs and
-surface a poisoned plan as a structured HTTP error.  Run it on its own::
+round, that the plan quarantines after exactly the retry budget).  Run
+it on its own::
 
     PYTHONPATH=src python -m pytest tests -m chaos
 
@@ -66,19 +64,3 @@ def test_three_worker_fleet_survives_crash_rounds(tmp_path):
         == 0
     )
 
-
-def test_supervised_service_survives_kill_and_poison(tmp_path):
-    """The service-layer rounds: SIGKILL a worker and the supervisor
-    mid-drain (the relaunched fleet reconverges and the served result
-    stays byte-identical), then poison a shard behind the front door (the
-    request surfaces a structured 502 naming the shard, well before its
-    deadline)."""
-    chaos_drain = _chaos_main()
-    assert (
-        chaos_drain.main(
-            ["--rounds", "0", "--supervisor-rounds",
-             str(len(chaos_drain.SUPERVISOR_MENU)),
-             "--lease", "2", "--scratch", str(tmp_path / "chaos")]
-        )
-        == 0
-    )

@@ -370,3 +370,51 @@ class TestRecursiveKernelGuard:
             config=DriverConfig(executed_global_size=32, local_size=16)
         )
         assert driver.measure_source(source) is not None
+
+
+class TestFloatOverflowGuard:
+    """A kernel whose integer arithmetic outgrows a Python float must raise
+    a catchable KernelRuntimeError on every engine, so the driver drops it
+    instead of crashing with a raw OverflowError (full-scale synthesis
+    produced this shape)."""
+
+    OVERFLOW = """
+    __kernel void A(__global float* a, __global float* b, const int c) {
+      int d = get_global_id(0);
+      int e = d + 2;
+      for (int i = 0; i < 16; i++) { e = ((e * e) * 0.5f) + 0.1f; }
+      a[d] = e;
+    }
+    """
+
+    ENGINES = ["auto", "vectorized", "compiled", "interpreter"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_raises_kernel_runtime_error(self, engine):
+        from repro.driver.payload import PayloadConfig, PayloadGenerator
+        from repro.errors import KernelRuntimeError
+        from repro.execution.cache import cached_compile_source
+
+        compilation = cached_compile_source(self.OVERFLOW)
+        kernel = compilation.unit.kernels[0]
+        payload = PayloadGenerator(
+            PayloadConfig(global_size=32, local_size=16, seed=0)
+        ).generate(kernel, work_dim=1)
+        with pytest.raises(KernelRuntimeError, match="overflow"):
+            run_kernel(
+                compilation.unit,
+                payload.pool,
+                payload.scalar_args,
+                payload.ndrange,
+                kernel_name=kernel.name,
+                engine=engine,
+            )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_driver_excludes_the_kernel(self, engine):
+        from repro.driver.harness import DriverConfig, HostDriver
+
+        driver = HostDriver(
+            config=DriverConfig(engine=engine, executed_global_size=32, local_size=16)
+        )
+        assert driver.measure_source(self.OVERFLOW) is None

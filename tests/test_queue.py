@@ -32,6 +32,7 @@ from repro.store.queue import (
     plan_fingerprint,
     plan_priority,
     publish_plan,
+    queue_status,
 )
 from repro.store.shards import _SAMPLE, _SUITE_EXEC, ShardPlan, shard_ranges
 from repro.store.stages import PipelineConfig, PipelineRunner
@@ -114,14 +115,19 @@ class TestClaimProtocol:
         assert second.holder("task")["worker"] == first.worker_id
 
     def test_expired_claim_is_stolen_by_exactly_one(self, tmp_path):
-        holder = ShardQueue(tmp_path, lease_seconds=0.01)
+        holder = ShardQueue(tmp_path, lease_seconds=60)
         assert holder.try_claim("task")
-        time.sleep(0.05)
+        # Age the claim past the stealers' long lease rather than sleeping
+        # out a short one: under a short lease, a race that outlasts it
+        # sees the winner's fresh claim expire too, and a second steal
+        # would be correct protocol.
+        expired = time.time() - 120
+        os.utime(holder._claim_path("task"), (expired, expired))
         barrier = threading.Barrier(8)
         outcomes = []
 
         def stealer():
-            queue = ShardQueue(tmp_path, lease_seconds=0.01)
+            queue = ShardQueue(tmp_path, lease_seconds=60)
             barrier.wait()
             outcomes.append(queue.try_claim("task"))
 
@@ -133,6 +139,62 @@ class TestClaimProtocol:
         assert sum(outcomes) == 1
         # The steal left no .stale litter behind.
         assert list(tmp_path.glob("queue/claims/*.stale.*")) == []
+
+    def test_forced_interleaving_keeps_one_thief_per_expired_claim(self, tmp_path):
+        """More thieves than cores, switching threads every microsecond so
+        they interleave between judging a claim expired and acting on it:
+        every expired claim still goes to exactly one thief, which charges
+        the dead holder exactly one attempt.  (A thief acting on an
+        out-of-date judgment would steal the winner's fresh claim and
+        charge a second attempt.)"""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_number in range(100):
+                directory = tmp_path / f"round-{round_number}"
+                holder = ShardQueue(directory, lease_seconds=60)
+                assert holder.try_claim("task")
+                expired = time.time() - 120
+                os.utime(holder._claim_path("task"), (expired, expired))
+                barrier = threading.Barrier(8)
+                outcomes = []
+
+                def thief():
+                    queue = ShardQueue(directory, lease_seconds=60)
+                    barrier.wait(timeout=30)
+                    outcomes.append(queue.try_claim("task"))
+
+                threads = [threading.Thread(target=thief) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert sum(outcomes) == 1, f"round {round_number}: {outcomes}"
+                assert len(holder.attempts("task")) == 1, f"round {round_number}"
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_dead_thief_token_is_cleared_after_a_lease(self, tmp_path):
+        """A thief that died mid-steal leaves its token behind; once the
+        token outlives the lease it is cleared, so the expired claim does
+        not stay unstealable forever."""
+        holder = ShardQueue(tmp_path, lease_seconds=60)
+        assert holder.try_claim("task")
+        path = holder._claim_path("task")
+        expired = time.time() - 120
+        os.utime(path, (expired, expired))
+        seen = path.stat()
+        token = path.with_name(f"{path.name}.stale.{seen.st_ino}.{seen.st_mtime_ns}")
+        token.touch()
+        thief = ShardQueue(tmp_path, lease_seconds=60)
+        assert not thief.try_claim("task")  # a live rival's token: back off
+        assert token.exists()
+        os.utime(token, (expired, expired))
+        assert not thief.try_claim("task")  # the dead rival's token is cleared
+        assert not token.exists()
+        assert thief.try_claim("task")
+        assert thief.holder("task")["worker"] == thief.worker_id
 
     def test_complete_releases_the_claim(self, tmp_path):
         queue = ShardQueue(tmp_path, lease_seconds=60)
@@ -1013,6 +1075,37 @@ class TestQueueStatusCli:
         out = capsys.readouterr().out
         assert "claims: 0 live" in out
         assert "failures: 0 quarantined" in out
+
+
+class TestQueueStatusCLI:
+    def _run(self, *argv, store: Path):
+        import os
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env.pop("REPRO_STORE_DIR", None)
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "queue", "status",
+             "--store", str(store), *argv],
+            capture_output=True, text=True, env=env,
+        )
+
+    def test_json_output_matches_library(self, tmp_path):
+        publish_plan(ArtifactStore(directory=tmp_path), tiny_config(), 3)
+        result = self._run("--json", store=tmp_path)
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        library = queue_status(tmp_path)
+        assert payload["claims"] == library["claims"]
+        assert payload["failures"] == library["failures"]
+        assert payload["max_attempts"] == library["max_attempts"]
+
+    def test_failures_drive_exit_code(self, tmp_path):
+        ShardQueue(tmp_path)._quarantine("poisoned-task", [{"worker": "w0"}])
+        result = self._run("--json", store=tmp_path)
+        assert result.returncode == 1
+        payload = json.loads(result.stdout)
+        assert payload["failures"][0]["task"] == "poisoned-task"
 
 
 class TestWorkerWatch:
