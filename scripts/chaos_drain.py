@@ -73,7 +73,8 @@ FAULT_MENU = [
     ("crash_after_claim", "crash_after_claim:shard=1", False, False),
     ("crash_mid_shard", "crash_mid_shard:shard=0", False, False),
     # Armed on every worker so the crash fires no matter who wins the merge
-    # claim; the clean finisher then steals the held claim back and re-merges.
+    # claim (run_round raises the retry budget above the armed count); the
+    # clean finisher then steals the held claim back and re-merges.
     ("crash_pre_merge", "crash_pre_merge:kind=synthesis", False, True),
     ("torn_write", "torn_write:kind=synthesis-shard", False, False),
     ("io_error_put", "io_error:put:p=0.3:seed={seed}", False, False),
@@ -103,7 +104,7 @@ def build_reference(directory: Path) -> None:
     runner.synthetic_measurements(cfg)
 
 
-def _subprocess_env(faults: str | None) -> dict:
+def _subprocess_env(faults: str | None, max_attempts: int | None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_STORE_DIR", None)
@@ -111,10 +112,14 @@ def _subprocess_env(faults: str | None) -> dict:
         env.pop("REPRO_FAULTS", None)
     else:
         env["REPRO_FAULTS"] = faults
+    if max_attempts is not None:
+        env["REPRO_QUEUE_MAX_ATTEMPTS"] = str(max_attempts)
     return env
 
 
-def launch_worker(store: Path, lease: float, faults: str | None) -> subprocess.Popen:
+def launch_worker(
+    store: Path, lease: float, faults: str | None, max_attempts: int | None = None
+) -> subprocess.Popen:
     return subprocess.Popen(
         [
             sys.executable,
@@ -126,7 +131,7 @@ def launch_worker(store: Path, lease: float, faults: str | None) -> subprocess.P
             "--lease",
             str(lease),
         ],
-        env=_subprocess_env(faults),
+        env=_subprocess_env(faults, max_attempts),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -166,8 +171,16 @@ def run_round(
     publish_plan(store, tiny_config(), SHARDS)
     print(f"round {number} [{name}]: faults={faults!r} workers={workers}")
 
+    # Every armed worker can die holding the same task, and each death
+    # spends one attempt of the retry budget.  A round that must survive
+    # its crashes therefore needs a budget above the armed count, or
+    # quarantine is the correct protocol outcome; the poison round keeps
+    # the default budget, which it asserts exactly.
+    max_attempts = workers + 1 if arm_all and not expect_quarantine else None
     fleet = [
-        launch_worker(directory, lease, faults if (index == 0 or arm_all) else None)
+        launch_worker(
+            directory, lease, faults if (index == 0 or arm_all) else None, max_attempts
+        )
         for index in range(workers)
     ]
     crashed = 0
@@ -188,7 +201,7 @@ def run_round(
 
     # A clean finisher drains whatever the casualties left held; its claims
     # on dead workers' shards go through the lease-expiry steal-back path.
-    finisher = launch_worker(directory, lease, None)
+    finisher = launch_worker(directory, lease, None, max_attempts)
     try:
         stdout, stderr = finisher.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:

@@ -14,9 +14,6 @@
 # Tier-1 is every default-selected test under tests/ — the chaos soak and
 # the perf gate stay opt-in because they spawn real worker fleets and
 # timed runs, which are too heavy (and too jitter-prone) for the gate.
-# The REPRO_SPECIALIZE=0 leg always runs: it re-executes the differential
-# and specialization suites with analyzer-guided fast paths disabled, so a
-# regression in the generic tier can't hide behind the specialized one.
 # The perf gate needs a quiet machine and a cold store.  Bench sessions
 # write a snapshot only when REPRO_BENCH_OUT names a file, so neither
 # tier-1 nor the gate dirties the committed BENCH artifacts.
@@ -40,9 +37,6 @@ if [[ "${LINT:-0}" != "0" ]]; then
     # bails is a hard failure (exit 1); precision misses only print.
     python -m repro lint --soundness
 fi
-
-echo "== specialize opt-out: REPRO_SPECIALIZE=0 must reproduce generic behaviour =="
-REPRO_SPECIALIZE=0 python -m pytest tests/test_specialization.py tests/test_execution_compiler.py -x -q
 
 if [[ "${PERFGATE:-0}" != "0" ]]; then
     echo "== perf gate (-m perfgate): phase timings vs committed BENCH =="

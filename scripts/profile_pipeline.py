@@ -32,7 +32,6 @@ import os
 import pstats
 import sys
 import time
-from dataclasses import replace
 
 from repro.experiments.common import ExperimentConfig
 from repro.store import PipelineConfig, PipelineRunner, warm_phases
@@ -44,16 +43,11 @@ from repro.store.shards import resolve_plan
 PHASES = ("preprocess", "train", "sample", "execute")
 
 
-def _stage_config(
-    kernel_count: int, repository_count: int, sample_batch: int | None
-) -> PipelineConfig:
+def _stage_config(kernel_count: int, repository_count: int) -> PipelineConfig:
     config = ExperimentConfig.quick()
     config.synthetic_kernel_count = kernel_count
     config.corpus_repository_count = repository_count
-    stage_config = PipelineConfig.from_experiment(config)
-    if sample_batch is not None:
-        stage_config = replace(stage_config, sample_batch=sample_batch)
-    return stage_config
+    return PipelineConfig.from_experiment(config)
 
 
 def run_pipeline(
@@ -65,10 +59,9 @@ def run_pipeline(
     shards: int | None = None,
     workers: int | None = None,
     steal: bool = False,
-    sample_batch: int | None = None,
 ) -> dict:
     """Run every phase through the stage graph; returns the output counts."""
-    stage_config = _stage_config(kernel_count, repository_count, sample_batch)
+    stage_config = _stage_config(kernel_count, repository_count)
     # Same precedence semantics as the repro CLI: explicit flags beat the
     # REPRO_SHARDS/REPRO_WORKERS/REPRO_STEAL environment, and workers imply
     # shards only when no shard count was given anywhere.
@@ -142,7 +135,6 @@ def run_execute_repeats(
     kernel_count: int,
     repository_count: int,
     repeats: int,
-    sample_batch: int | None = None,
 ) -> list[float]:
     """``--phase execute --repeat N``: time the execute phase N times.
 
@@ -152,7 +144,7 @@ def run_execute_repeats(
     process-wide compilation caches cleared first — so each sample is one
     cold, isolated execute phase over identical inputs.
     """
-    stage_config = _stage_config(kernel_count, repository_count, sample_batch)
+    stage_config = _stage_config(kernel_count, repository_count)
     upstream_store = ArtifactStore(memory_entries=256)
     upstream = PipelineRunner(store=upstream_store)
     upstream.corpus(stage_config)
@@ -215,10 +207,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="resolve through the work-stealing claim queue (needs "
                              "--cache-dir) and publish the plan so concurrent "
                              "`repro worker --store DIR` processes can join this run")
-    parser.add_argument("--sample-batch", type=int, default=None, metavar="WIDTH",
-                        help="wavefront width for the sample stage (default: "
-                             "$REPRO_SAMPLE_BATCH, else 64; every width is "
-                             "byte-identical, so this only changes speed)")
     parser.add_argument("--phase", choices=("execute",), default=None,
                         help="with --repeat, the single phase to time repeatedly "
                              "(only 'execute' is supported)")
@@ -239,10 +227,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--phase/--repeat runs in-memory and unsharded; it "
                          "cannot combine with --profile/--json/--warm/"
                          "--cache-dir/--shards/--workers/--steal")
-        samples = run_execute_repeats(
-            args.kernels, args.repositories, args.repeat,
-            sample_batch=args.sample_batch,
-        )
+        samples = run_execute_repeats(args.kernels, args.repositories, args.repeat)
         import statistics
 
         mean = statistics.fmean(samples)
@@ -263,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
                               cache_dir=args.cache_dir,
                               stage_report=cold_stages,
                               shards=args.shards, workers=args.workers,
-                              steal=args.steal, sample_batch=args.sample_batch)
+                              steal=args.steal)
         profiler.disable()
         profiler.dump_stats(args.profile)
         stats = pstats.Stats(profiler)
@@ -274,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
                               cache_dir=args.cache_dir,
                               stage_report=cold_stages,
                               shards=args.shards, workers=args.workers,
-                              steal=args.steal, sample_batch=args.sample_batch)
+                              steal=args.steal)
 
     warm_timings: dict[str, float] = {}
     warm_stages: list[dict] = []
@@ -283,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
                      cache_dir=args.cache_dir,
                      stage_report=warm_stages,
                      shards=args.shards, workers=args.workers,
-                     steal=args.steal, sample_batch=args.sample_batch)
+                     steal=args.steal)
 
     total = sum(timings.values())
     if warm_timings:

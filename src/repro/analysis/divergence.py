@@ -420,8 +420,10 @@ class _FunctionAnalyzer:
         if name in self.buffers or name in self.private_arrays:
             # A declaration shadowing a pointer or array (e.g. `int x =
             # get_global_id(0)` over a buffer parameter `x`): the flat name
-            # model cannot tell which binding a later use means, while the
-            # engines scope them properly, so keep the kernel out of SAFE.
+            # model cannot tell which binding a later use means, so keep the
+            # kernel out of SAFE.  The engines do not scope names either (a
+            # declaration inside a block stays visible after it ends), so
+            # scoped tables must land here and in every engine together.
             self.flag(FLAG_UNKNOWN_CONSTRUCT)
         if _is_vector_type(declared):
             self.flag(FLAG_VECTOR_DECL)

@@ -103,7 +103,7 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character punctuators, longest first so maximal munch works.
+#: Punctuators; :data:`_MASTER_RE` tries them longest first (maximal munch).
 _PUNCTUATORS = (
     "<<=",
     ">>=",
@@ -153,45 +153,14 @@ _PUNCTUATORS = (
     ":",
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-
-#: Batched scanners for the hot paths: runs of whitespace and identifier
-#: characters are consumed in one regex match instead of one method call per
-#: character.  ``[^\x00-\x7f]`` mirrors the permissive ``ord(ch) > 127``
-#: identifier rule exactly.
-_WHITESPACE_RE = re.compile(r"[ \t\r\n\f\v]+")
-_IDENTIFIER_RE = re.compile(r"(?:[A-Za-z_]|[^\x00-\x7f])(?:[A-Za-z0-9_]|[^\x00-\x7f])*")
-#: One-match equivalent of the character-by-character number scanner: hex
-#: digits, or decimal digits with an optional fraction and an exponent that
-#: only binds when digits follow, then any run of OpenCL suffixes.
-_NUMBER_RE = re.compile(
-    r"0[xX][0-9a-fA-F]*[uUlLfFhH]*|[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?[uUlLfFhH]*"
-)
-
-#: Punctuators bucketed by first character (global longest-first order is
-#: preserved within each bucket, so maximal munch still applies).
-_PUNCTUATORS_BY_FIRST: dict[str, tuple[str, ...]] = {}
-for _punct in _PUNCTUATORS:
-    _PUNCTUATORS_BY_FIRST.setdefault(_punct[0], ())
-    _PUNCTUATORS_BY_FIRST[_punct[0]] += (_punct,)
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-# Sets, not strings: ``"" in "uUlL..."`` is True, so testing ``_peek()``
-# (which returns "" at end of input) against a plain string loops forever
-# on sources that end in a numeric literal.
-_NUMBER_SUFFIXES = frozenset("uUlLfFhH")
-_FLOAT_SUFFIXES = frozenset("fFhH")
-_SIGNS = frozenset("+-")
-
-#: One alternation covering every token class, tried in the same precedence
-#: order as :meth:`Lexer._next_token`: whitespace/comment runs, identifiers,
-#: numbers (guarded by the same digit-or-dot-digit trigger), string and
-#: character literals, then punctuators (longest first, so maximal munch is
-#: preserved).  The ``bad`` group catches an unterminated block comment
-#: opener that would otherwise mis-lex as ``/`` ``*`` punctuators; it and
-#: every non-match route through the character-by-character machinery, which
-#: raises the exact same :class:`LexerError`s as before.
+#: One alternation covering every token class, in precedence order:
+#: whitespace/comment runs, identifiers (any non-ASCII character counts as
+#: an identifier character: the lexer is permissive and later stages reject
+#: what is not real OpenCL), numbers (triggered by a digit or a dot-digit),
+#: string and character literals, then punctuators (longest first, so
+#: maximal munch is preserved; a stray ``#`` surviving preprocessing lexes
+#: as a punctuator too).  The ``bad`` group catches an unterminated block
+#: comment opener, which would otherwise mis-lex as ``/`` ``*``.
 _MASTER_RE = re.compile(
     r"(?P<ws>(?:[ \t\r\n\f\v]+|//[^\n]*|/\*[\s\S]*?\*/|\\\n)+)"
     r"|(?P<id>(?:[A-Za-z_]|[^\x00-\x7f])(?:[A-Za-z0-9_]|[^\x00-\x7f])*)"
@@ -207,14 +176,13 @@ _MASTER_RE = re.compile(
 
 
 def _classify_number(text: str) -> TokenKind:
-    """INT vs FLOAT literal, identically to the character scanner."""
+    """INT vs FLOAT literal: a fraction, an exponent or an f/h suffix."""
     if text[:2] in ("0x", "0X"):
         # The hex-digit run greedily claims f/F, so only suffix characters
         # that cannot be hex digits (after a u/U/l/L) remain in the tail —
-        # an h/H or trailing f/F there marks a float, exactly as the
-        # character-by-character scanner classified it.
+        # an h/H or trailing f/F there marks a float.
         tail = text[2:].lstrip("0123456789abcdefABCDEF")
-        is_float = any(c in _FLOAT_SUFFIXES for c in tail)
+        is_float = any(c in "fFhH" for c in tail)
     else:
         body = text.rstrip("uUlLfFhH")
         suffixes = text[len(body):]
@@ -222,216 +190,77 @@ def _classify_number(text: str) -> TokenKind:
             "." in body
             or "e" in body
             or "E" in body
-            or any(c in _FLOAT_SUFFIXES for c in suffixes)
+            or any(c in "fFhH" for c in suffixes)
         )
     return TokenKind.FLOAT_LITERAL if is_float else TokenKind.INT_LITERAL
 
 
-class Lexer:
-    """Converts OpenCL C source text into a list of :class:`Token`."""
+def _error_message(source: str, pos: int, group: str | None) -> str:
+    """The :class:`LexerError` message for a failed match at *pos*.
 
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> list[Token]:
-        """Return the full token stream, terminated by an EOF token.
-
-        Drives :data:`_MASTER_RE` down the source — one regex match and one
-        ``Token`` construction per token — and drops to the per-character
-        :meth:`_next_token` machinery only where the master pattern does not
-        apply (unterminated comments/strings, unexpected characters), so the
-        token stream and every error message are identical to the scanner it
-        replaces.
-        """
-        source = self._source
-        length = len(source)
-        tokens: list[Token] = []
-        append = tokens.append
-        master = _MASTER_RE.match
-        pos = 0
-        line = 1
-        line_start = 0  # index just past the most recent newline
-        while pos < length:
-            match = master(source, pos)
-            if match is None or match.lastgroup == "bad":
-                # Sync the slow scanner, let it produce the token or raise
-                # the precise error, then resume the fast loop after it.
-                self._pos = pos
-                self._line = line
-                self._column = pos - line_start + 1
-                append(self._next_token())
-                pos = self._pos
-                line = self._line
-                line_start = self._pos - self._column + 1
-                continue
-            group = match.lastgroup
-            text = match.group()
-            end = match.end()
-            if group == "ws":
-                newlines = text.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = pos + text.rfind("\n") + 1
-                pos = end
-                continue
-            token_line = line
-            column = pos - line_start + 1
-            if group == "id":
-                # Interning collapses the many repeats of each identifier or
-                # keyword across a corpus into one string object, cutting
-                # parse-time memory and making dict lookups keyed on token
-                # text pointer-comparison fast.
-                text = sys.intern(text)
-                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            elif group == "punct":
-                kind = TokenKind.PUNCTUATOR
-            elif group == "num":
-                kind = _classify_number(text)
-            else:  # str / char — literals may span lines via escaped newlines
-                kind = TokenKind.STRING_LITERAL if group == "str" else TokenKind.CHAR_LITERAL
-                newlines = text.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = pos + text.rfind("\n") + 1
-            append(Token(kind, text, token_line, column))
-            pos = end
-        append(Token(TokenKind.EOF, "", line, length - line_start + 1))
-        return tokens
-
-    # ------------------------------------------------------------------
-    # Internal machinery.
-    # ------------------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> str:
-        text = self._source[self._pos : self._pos + count]
-        newlines = text.count("\n")
-        if newlines:
-            self._line += newlines
-            self._column = len(text) - text.rfind("\n")
-        else:
-            self._column += len(text)
-        self._pos += count
-        return text
-
-    def _skip_whitespace_and_comments(self) -> None:
-        source = self._source
-        while self._pos < len(source):
-            ch = source[self._pos]
-            if ch in " \t\r\n\f\v":
-                match = _WHITESPACE_RE.match(source, self._pos)
-                self._advance(match.end() - self._pos)
-            elif ch == "/" and self._peek(1) == "/":
-                newline = source.find("\n", self._pos)
-                end = newline if newline != -1 else len(source)
-                self._advance(end - self._pos)
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._column
-                terminator = source.find("*/", self._pos + 2)
-                if terminator == -1:
-                    self._advance(len(source) - self._pos)
-                    raise LexerError("unterminated block comment", start_line, start_col)
-                self._advance(terminator + 2 - self._pos)
-            elif ch == "\\" and self._peek(1) == "\n":
-                # Line continuation outside of the preprocessor; harmless.
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, "", self._line, self._column)
-
-        line, column = self._line, self._column
-        ch = self._peek()
-
-        # Non-ASCII text (identifiers in other scripts, stray unicode from
-        # README-grade content files) lexes as identifier characters: the
-        # lexer is deliberately permissive and later stages reject what is
-        # not real OpenCL.
-        if ch in _IDENT_START or ord(ch) > 127:
-            return self._lex_identifier(line, column)
-        if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            return self._lex_number(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        if ch == "'":
-            return self._lex_char(line, column)
-        if ch == "#":
-            # Stray preprocessor directives after preprocessing are an error,
-            # but hash tokens inside macros may survive; treat as punctuator.
-            self._advance()
-            return Token(TokenKind.PUNCTUATOR, "#", line, column)
-
-        for punct in _PUNCTUATORS_BY_FIRST.get(ch, ()):
-            if self._source.startswith(punct, self._pos):
-                self._pos += len(punct)
-                self._column += len(punct)
-                return Token(TokenKind.PUNCTUATOR, punct, line, column)
-
-        raise LexerError(f"unexpected character {ch!r}", line, column)
-
-    def _lex_identifier(self, line: int, column: int) -> Token:
-        match = _IDENTIFIER_RE.match(self._source, self._pos)
-        # Interning collapses the many repeats of each identifier/keyword
-        # across a corpus into one string object, cutting parse-time memory
-        # and making the dict lookups keyed on token text (parser type
-        # table, interpreter environments) pointer-comparison fast.
-        text = sys.intern(match.group())
-        self._pos = match.end()
-        self._column += len(text)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        match = _NUMBER_RE.match(self._source, self._pos)
-        text = match.group()
-        self._pos = match.end()
-        self._column += len(text)
-        return Token(_classify_number(text), text, line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        while True:
-            if self._pos >= len(self._source):
-                raise LexerError("unterminated string literal", line, column)
-            ch = self._peek()
-            if ch == "\\":
-                self._advance(2)
-            elif ch == '"':
-                self._advance()
-                break
-            else:
-                self._advance()
-        return Token(TokenKind.STRING_LITERAL, self._source[start : self._pos], line, column)
-
-    def _lex_char(self, line: int, column: int) -> Token:
-        start = self._pos
-        self._advance()  # opening quote
-        while True:
-            if self._pos >= len(self._source):
-                raise LexerError("unterminated character literal", line, column)
-            ch = self._peek()
-            if ch == "\\":
-                self._advance(2)
-            elif ch == "'":
-                self._advance()
-                break
-            else:
-                self._advance()
-        return Token(TokenKind.CHAR_LITERAL, self._source[start : self._pos], line, column)
+    Whitespace, comments, identifiers, numbers and punctuators always match,
+    so a failure is an unterminated block comment (the ``bad`` group), an
+    unterminated string or character literal (its opening quote starts no
+    complete literal), or a character no token can start with.
+    """
+    if group == "bad":
+        return "unterminated block comment"
+    character = source[pos]
+    if character == '"':
+        return "unterminated string literal"
+    if character == "'":
+        return "unterminated character literal"
+    return f"unexpected character {character!r}"
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize *source*, returning a list of tokens ending with EOF."""
-    return Lexer(source).tokenize()
+    """Tokenize *source*, returning a list of tokens ending with EOF.
+
+    Drives :data:`_MASTER_RE` down the source: one regex match and one
+    :class:`Token` per token.  Where the pattern fails to match (or matches
+    the ``bad`` group), raises :class:`LexerError` at that position.
+    """
+    length = len(source)
+    tokens: list[Token] = []
+    append = tokens.append
+    master = _MASTER_RE.match
+    pos = 0
+    line = 1
+    line_start = 0  # index just past the most recent newline
+    while pos < length:
+        match = master(source, pos)
+        group = match.lastgroup if match else None
+        if group is None or group == "bad":
+            raise LexerError(_error_message(source, pos, group), line, pos - line_start + 1)
+        text = match.group()
+        end = match.end()
+        if group == "ws":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rfind("\n") + 1
+            pos = end
+            continue
+        token_line = line
+        column = pos - line_start + 1
+        if group == "id":
+            # Interning collapses the many repeats of each identifier or
+            # keyword across a corpus into one string object, cutting
+            # parse-time memory and making dict lookups keyed on token
+            # text pointer-comparison fast.
+            text = sys.intern(text)
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
+        elif group == "punct":
+            kind = TokenKind.PUNCTUATOR
+        elif group == "num":
+            kind = _classify_number(text)
+        else:  # str / char — literals may span lines via escaped newlines
+            kind = TokenKind.STRING_LITERAL if group == "str" else TokenKind.CHAR_LITERAL
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rfind("\n") + 1
+        append(Token(kind, text, token_line, column))
+        pos = end
+    append(Token(TokenKind.EOF, "", line, length - line_start + 1))
+    return tokens

@@ -22,7 +22,8 @@ instead of static ranges, pending work is claimed from a lease-based
 queue in the store, ``repro pipeline --steal`` publishes its plan, and
 any number of ``repro worker --store DIR`` processes join in and drain
 it until the merge fires (``--watch`` keeps a worker resident for plans
-published later).
+published later).  The shard plan is the only parallelism: without it
+every stage runs in the calling process.
 
 Every sub-command resolves its heavy inputs through the pipeline stage
 graph (:mod:`repro.store`): with ``--cache-dir`` (or ``REPRO_STORE_DIR``)
@@ -216,7 +217,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         sampler_temperature=args.temperature,
         synthetic_kernel_count=args.count,
         sample_seed=args.seed,
-        sample_batch=args.sample_batch,
         executed_global_size=args.global_size,
         local_size=args.local_size,
         payload_seed=args.seed,
@@ -654,15 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--count", type=int, default=50)
     pipeline.add_argument("--global-size", type=int, default=128)
     pipeline.add_argument("--local-size", type=int, default=32)
-    pipeline.add_argument(
-        "--sample-batch",
-        type=int,
-        default=None,
-        metavar="WIDTH",
-        help="wavefront width for the batched sample stage (default: "
-             "$REPRO_SAMPLE_BATCH, else 64; byte-identical output at every "
-             "width, so it never affects fingerprints)",
-    )
     pipeline.add_argument(
         "--priority",
         type=int,

@@ -40,7 +40,6 @@ class Corpus:
         use_shim: bool = True,
         rename_identifiers: bool = True,
         min_static_instructions: int = 3,
-        jobs: int | None = None,
         cache_dir: str | None = None,
     ) -> "Corpus":
         """Build a corpus by running the preprocessing pipeline."""
@@ -48,7 +47,6 @@ class Corpus:
             use_shim=use_shim,
             rename_identifiers=rename_identifiers,
             min_static_instructions=min_static_instructions,
-            jobs=jobs,
             cache_dir=cache_dir,
         )
         result: PipelineResult = pipeline.run(content_files)
@@ -67,7 +65,6 @@ class Corpus:
         use_shim: bool = True,
         rename_identifiers: bool = True,
         min_static_instructions: int = 3,
-        jobs: int | None = None,
         cache_dir: str | None = None,
     ) -> "Corpus":
         """Mine synthetic GitHub repositories and build the corpus in one step."""
@@ -78,7 +75,6 @@ class Corpus:
             use_shim=use_shim,
             rename_identifiers=rename_identifiers,
             min_static_instructions=min_static_instructions,
-            jobs=jobs,
             cache_dir=cache_dir,
         )
 

@@ -100,13 +100,6 @@ class DriverConfig:
     #: closure engine; "compiled" forces the closure engine; "interpreter"
     #: forces the legacy tree walker.
     engine: str = "auto"
-    #: Worker processes for :meth:`HostDriver.measure_many`.  0 (default)
-    #: measures sequentially; the ``REPRO_MEASURE_WORKERS`` environment
-    #: variable supplies a default when unset.  Kernel measurement is
-    #: embarrassingly parallel across *distinct* kernels, so the pool pays
-    #: off for large synthetic batches (workers do not share the in-process
-    #: execution caches).
-    measure_workers: int = 0
     #: Standard deviation of the multiplicative log-normal measurement noise
     #: applied to every runtime estimate.  Real systems are noisy (the paper
     #: averages five repetitions per measurement); a deterministic,
@@ -332,94 +325,23 @@ class HostDriver:
         sources: list[str],
         names: list[str] | None = None,
         dataset_scales: list[float] | None = None,
-        workers: int | None = None,
     ) -> list[KernelMeasurement]:
         """Measure several kernels, silently skipping failures.
 
-        With ``workers > 1`` (explicit argument, ``DriverConfig.measure_workers``
-        or the ``REPRO_MEASURE_WORKERS`` environment variable) the batch is
-        fanned out over a process pool, one fresh driver per worker; results
-        come back in input order, identical to a sequential run because each
-        measurement is deterministic in (source, config).  Falls back to
-        sequential measurement if the pool cannot be used (e.g. an
-        unpicklable measurement).
+        The per-measurement fixed costs (payload generator, lane arena,
+        unscaled profile) live on the driver, shared across the batch.
+        Parallel measurement shards the execute stage (see
+        :mod:`repro.store.shards`).
         """
-        workers = self._resolve_workers(workers)
-        if workers > 1 and len(sources) > 1:
-            import pickle
-            import warnings
-            from concurrent.futures import BrokenExecutor
-
-            try:
-                return self._measure_many_parallel(sources, names, dataset_scales, workers)
-            except (pickle.PicklingError, AttributeError, TypeError, OSError,
-                    ImportError, BrokenExecutor) as error:
-                # Unpicklable configs/measurements or an unusable pool: fall
-                # back to in-process measurement, but say so — a silently
-                # dead opt-in would rot undetected.
-                warnings.warn(
-                    f"measure_many worker pool unavailable ({error!r}); measuring sequentially",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        # Batched measure loop: the job list is zipped once, and the
-        # per-measurement fixed costs (payload generator, lane arena,
-        # unscaled profile) live on the driver, shared across the batch.
-        measure = self.measure_source
-        measurements = [
-            measurement
-            for source, name, scale in self._batch_jobs(sources, names, dataset_scales)
-            if (measurement := measure(source, name=name, dataset_scale=scale)) is not None
-        ]
-        return measurements
-
-    @staticmethod
-    def _batch_jobs(
-        sources: list[str],
-        names: list[str] | None,
-        dataset_scales: list[float] | None,
-    ) -> list[tuple[str, str | None, float | None]]:
-        """Zip one (source, name, scale) job tuple per batch entry."""
-        return [
-            (source, names[index] if names else None,
-             dataset_scales[index] if dataset_scales else None)
-            for index, source in enumerate(sources)
-        ]
-
-    def _resolve_workers(self, workers: int | None) -> int:
-        if workers is not None:
-            return max(workers, 0)
-        if self.config.measure_workers:
-            return max(self.config.measure_workers, 0)
-        # Malformed values fall back to 0 (sequential) with a warning
-        # rather than crashing a measurement batch over an env typo.
-        from repro.envutil import env_int
-
-        return env_int("REPRO_MEASURE_WORKERS", default=0, minimum=0)
-
-    def _measure_many_parallel(
-        self,
-        sources: list[str],
-        names: list[str] | None,
-        dataset_scales: list[float] | None,
-        workers: int,
-    ) -> list[KernelMeasurement]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = self._batch_jobs(sources, names, dataset_scales)
-        workers = min(workers, len(jobs))
-        chunk_size = (len(jobs) + workers - 1) // workers
-        chunks = [jobs[at:at + chunk_size] for at in range(0, len(jobs), chunk_size)]
-        # Workers rebuild the driver from its (picklable) configuration; the
-        # worker pool is scoped to the call so no idle processes linger.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _measure_chunk_worker,
-                [(self.config, self.platforms, chunk) for chunk in chunks],
+        measurements = []
+        for index, source in enumerate(sources):
+            measurement = self.measure_source(
+                source,
+                name=names[index] if names else None,
+                dataset_scale=dataset_scales[index] if dataset_scales else None,
             )
-            measurements: list[KernelMeasurement] = []
-            for chunk_result in results:
-                measurements.extend(m for m in chunk_result if m is not None)
+            if measurement is not None:
+                measurements.append(measurement)
         return measurements
 
     def check_useful(self, source: str) -> DynamicCheckResult:
@@ -486,16 +408,6 @@ def kernel_work_dim(kernel) -> int:
                 if value == 1:
                     return 2
     return 1
-
-
-def _measure_chunk_worker(task) -> list[KernelMeasurement | None]:
-    """Process-pool entry point: measure a chunk of sources on a fresh driver."""
-    config, platforms, jobs = task
-    driver = HostDriver(platforms=platforms, config=config)
-    return [
-        driver.measure_source(source, name=name, dataset_scale=scale)
-        for source, name, scale in jobs
-    ]
 
 
 def is_useful_benchmark(result: DynamicCheckResult) -> bool:

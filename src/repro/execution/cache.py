@@ -41,11 +41,15 @@ from repro.execution.vectorizer import (
 #: Cached marker for "this kernel is outside the lockstep subset".
 _NOT_VECTORIZABLE = object()
 
+#: Content-keyed entries :class:`CompilationCache` keeps by default.
+COMPILATION_CACHE_ENTRIES = 512
 
-def _cache_capacity(default: int = 512) -> int:
-    from repro.envutil import env_int
-
-    return env_int("REPRO_COMPILE_CACHE_SIZE", default=default, minimum=8)
+#: Frontend results :func:`cached_compile_source` keeps.  A compilation is
+#: ~20KB in memory, so a deep cache is cheap — and it must hold the full
+#: sample-phase working set (every accepted candidate's seeded compilation,
+#: ~1000 at paper scale) long enough for the execute phase to reuse it, or
+#: the LRU scan-thrashes and every measurement recompiles from scratch.
+SOURCE_CACHE_ENTRIES = 4096
 
 
 class CompilationCache:
@@ -57,14 +61,14 @@ class CompilationCache:
     cached too, so rejected kernels are analysed at most once),
     ``"vectorized-specialized"`` (the analyzer-guided specialized lockstep
     instance, cached beside — never instead of — the generic one, so
-    ``REPRO_SPECIALIZE=0`` and misprediction fallback always find the
+    ``engine="vectorized"`` and misprediction fallback always find the
     generic artifact under its unchanged key), and ``"analysis"`` (the
     static analyzer's :class:`~repro.analysis.KernelVerdict`, consulted by
     the engine router before each lockstep attempt).
     """
 
     def __init__(self, max_entries: int | None = None):
-        self._max_entries = max_entries or _cache_capacity()
+        self._max_entries = max_entries or COMPILATION_CACHE_ENTRIES
         self._lock = threading.Lock()
         #: id(unit) -> (weakref-or-None,
         #:              {(artifact, kernel_name, max_steps): artifact},
@@ -295,13 +299,7 @@ def _source_cache_key(source: str, kwargs: dict) -> tuple:
 def _source_cache_put(key: tuple, result: object) -> None:
     with _SOURCE_LOCK:
         _SOURCE_CACHE[key] = result
-        # A compilation is ~20KB in memory, so a deep cache is cheap — and it
-        # must hold the full sample-phase working set (every accepted
-        # candidate's seeded compilation, ~1000 at paper scale) long enough
-        # for the execute phase to reuse it, or the LRU scan-thrashes and
-        # every measurement recompiles from scratch.
-        capacity = _cache_capacity(default=4096)
-        while len(_SOURCE_CACHE) > capacity:
+        while len(_SOURCE_CACHE) > SOURCE_CACHE_ENTRIES:
             _SOURCE_CACHE.popitem(last=False)
 
 
@@ -345,28 +343,6 @@ def seed_compiled_source(source: str, result, **kwargs) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _static_routing_enabled() -> bool:
-    """Whether ``engine="auto"`` consults the static analyzer before the
-    lockstep attempt.  ``REPRO_STATIC_ROUTING=0`` disables routing for
-    routed-vs-unrouted A/B comparisons; routing never changes outputs (all
-    engines are bit-identical), only which engine runs first."""
-    from repro.envutil import env_flag
-
-    return env_flag("REPRO_STATIC_ROUTING", default=True)
-
-
-def _specialize_enabled() -> bool:
-    """Whether ``engine="auto"`` tries the analyzer-specialized lockstep
-    instance before the generic one.  ``REPRO_SPECIALIZE=0`` reproduces the
-    generic tier's behavior exactly (same artifacts, same code paths);
-    specialization never changes outputs, only how fast they are computed.
-    Independent of ``REPRO_STATIC_ROUTING`` — routing decides *whether* to
-    attempt lockstep, specialization decides *which* lockstep runs first."""
-    from repro.envutil import env_flag
-
-    return env_flag("REPRO_SPECIALIZE", default=True)
-
-
 def run_kernel(
     unit: ast.TranslationUnit,
     pool: MemoryPool,
@@ -387,13 +363,13 @@ def run_kernel(
       untouched at bailout, so the fallback is exact); the closure engine
       otherwise.  Before attempting lockstep, the static analyzer's cached
       verdict is consulted: kernels it proves bailout-certain skip straight
-      to the closure engine (disable with ``REPRO_STATIC_ROUTING=0``), and
-      kernels it proves SAFE with uniform control run the analyzer-
-      specialized lockstep instance first (disable with
-      ``REPRO_SPECIALIZE=0``).  The fallback lattice is specialized →
-      generic lockstep → closure; every tier is bit-identical.
+      to the closure engine, and kernels it proves SAFE with uniform
+      control run the analyzer-specialized lockstep instance first.  The
+      fallback lattice is specialized → generic lockstep → closure; every
+      tier is bit-identical.
     * ``"vectorized"`` — like ``"auto"`` but always attempts the *generic*
-      lockstep tier, ignoring the static verdict (and the specializer).
+      lockstep tier, ignoring the static verdict (and the specializer): the
+      unrouted, unspecialized probe the differential tests compare against.
     * ``"compiled"`` — the closure engine only.
     * ``"interpreter"`` — the legacy tree walker (differential tests).
 
@@ -411,7 +387,7 @@ def run_kernel(
             return interpreter.execute(pool, scalar_args, ndrange)
         if engine in ("auto", "vectorized"):
             attempt = True
-            if engine == "auto" and _static_routing_enabled():
+            if engine == "auto":
                 verdict = analysis_verdict_for(unit, kernel_name)
                 if getattr(verdict, "skip_vectorization", False):
                     from repro.analysis import ANALYSIS_STATS
@@ -419,7 +395,7 @@ def run_kernel(
                     ANALYSIS_STATS.routed_skips += 1
                     attempt = False
             if attempt:
-                if engine == "auto" and _specialize_enabled():
+                if engine == "auto":
                     specialized = specialized_kernel_for(unit, kernel_name, max_steps_per_item)
                     if specialized is not None:
                         try:

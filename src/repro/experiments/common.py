@@ -180,8 +180,7 @@ def synthesize_and_measure(
     runner = runner or default_runner()
     # The paper's host driver synthesizes payloads spanning 128B–130MB; the
     # default dataset_scales spread gives the synthetic kernels the same
-    # effect.  measure_many inside the execute stage fans out over a process
-    # pool when REPRO_MEASURE_WORKERS (or measure_workers) is set.
+    # effect.
     stage_config = PipelineConfig.from_experiment(config, count=count)
     if clgen is not None and (
         getattr(clgen, "stage_model_fingerprint", None) != model_fingerprint(stage_config)

@@ -184,10 +184,9 @@ class NgramLanguageModel(LanguageModel):
         The lanes share one vectorized draw per step (cumulative rows
         gathered into an ``(N, vocab)`` matrix, one comparison-count for
         every lane's index) while staying bit-identical to running each
-        chain through :class:`NgramSamplerState` alone, so
-        :meth:`KernelSampler.sample_many` and the wavefront driver can use
-        it with one independently-seeded RNG per chain (the parallel sample
-        streams) without changing any sampled byte.
+        chain through :class:`NgramSamplerState` alone, so the wavefront
+        driver can use it with one independently-seeded RNG per chain (the
+        parallel sample streams) without changing any sampled byte.
         """
         if not self._trained:
             raise ModelError("model has not been trained")

@@ -12,8 +12,8 @@ Two layers:
 * an optional on-disk layer delegated to the generic
   :class:`repro.store.artifact_store.ArtifactStore` (artifact kind
   ``preprocess-file``), enabled by passing ``directory=`` or setting
-  ``REPRO_PREPROCESS_CACHE_DIR`` (falling back to ``REPRO_STORE_DIR``, so
-  one store root serves both per-file outcomes and stage artifacts).
+  ``REPRO_STORE_DIR`` (one store root serves both per-file outcomes and
+  stage artifacts).
 
 Disk entries embed a schema version; unreadable or stale entries are
 silently recomputed.
@@ -27,7 +27,7 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from repro.store.artifact_store import ArtifactStore
+from repro.store.artifact_store import ArtifactStore, default_store_directory
 from repro.store.fingerprint import schema_version
 
 #: Artifact kind under which outcomes live in the store.  The single
@@ -37,18 +37,6 @@ from repro.store.fingerprint import schema_version
 #: entry by the store — bump it there when the record layout or the
 #: pipeline semantics change.
 ARTIFACT_KIND = "preprocess-file"
-
-
-def default_cache_directory() -> str | None:
-    """The on-disk cache location from the environment, if configured.
-
-    Hardened like every other ``REPRO_*`` knob: a path that exists but is
-    not a directory is ignored with a warning instead of silently
-    disabling the cache through swallowed write errors.
-    """
-    from repro.envutil import env_directory
-
-    return env_directory("REPRO_PREPROCESS_CACHE_DIR") or env_directory("REPRO_STORE_DIR")
 
 
 def outcome_key(
@@ -142,13 +130,13 @@ _DIRECTORY_LOCK = threading.Lock()
 
 
 def resolve_cache(directory: str | None = None) -> PreprocessCache:
-    """The cache instance for *directory* (or the env-configured default).
+    """The cache instance for *directory* (or ``REPRO_STORE_DIR``).
 
     Without a directory this is the shared in-memory cache; with one, a
     per-directory singleton so the in-memory layer is still shared between
     pipelines pointing at the same store.
     """
-    directory = directory or default_cache_directory()
+    directory = directory or default_store_directory()
     if directory is None:
         return GLOBAL_PREPROCESS_CACHE
     directory = os.path.abspath(directory)

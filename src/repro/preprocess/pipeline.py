@@ -7,24 +7,20 @@ statistics reported in §4.1 (discard rates with and without the shim,
 line counts, kernel counts, vocabulary reduction).
 
 Per-file work (rejection check + rewrite) is a pure function of the file
-text and the pipeline configuration, so it is
-
-* **cached** content-addressably (in-process always, on disk when
-  configured — see :mod:`repro.preprocess.cache`), making repeated corpus
-  builds near-free, and
-* **parallelizable** across a ``multiprocessing`` pool (``jobs=`` or the
-  ``REPRO_PREPROCESS_JOBS`` environment variable) for cold builds of large
-  corpora.
+text and the pipeline configuration, so it is cached content-addressably
+(in-process always, on disk when configured — see
+:mod:`repro.preprocess.cache`), making repeated corpus builds near-free.
+Parallel cold builds shard the corpus by repository range (see
+:mod:`repro.store.shards`).
 
 Statistics are folded from the per-file outcomes in input order, so cached,
-parallel and serial runs produce byte-identical results.
+sharded and cold runs produce byte-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.envutil import env_int
 from repro.preprocess.cache import PreprocessCache, outcome_key, resolve_cache
 from repro.preprocess.rejection import RejectionFilter, RejectionReason, RejectionResult
 from repro.preprocess.rewriter import CodeRewriter, bag_of_words_vocabulary
@@ -63,8 +59,8 @@ class CorpusStatistics:
 class FileOutcome:
     """Everything the pipeline needs to know about one processed file.
 
-    This is the unit of caching and of inter-process transfer: compact,
-    picklable, and independent of AST objects.
+    This is the unit of caching and of the preprocess shard artifacts:
+    compact, picklable, and independent of AST objects.
     """
 
     accepted: bool
@@ -96,61 +92,6 @@ class PipelineResult:
     corpus_texts: list[str]
     statistics: CorpusStatistics
     rejections: list[RejectionResult]
-
-
-# ---------------------------------------------------------------------------
-# Worker-side processing (module level so multiprocessing can pickle it).
-# ---------------------------------------------------------------------------
-
-_WORKER_PROCESSOR = None
-
-
-def _init_worker(use_shim: bool, rename_identifiers: bool, min_static_instructions: int) -> None:
-    global _WORKER_PROCESSOR
-    _WORKER_PROCESSOR = _FileProcessor(use_shim, rename_identifiers, min_static_instructions)
-
-
-def _process_in_worker(text: str) -> FileOutcome:
-    return _WORKER_PROCESSOR.process(text)
-
-
-class _FileProcessor:
-    """Runs the rejection filter and rewriter over one content file."""
-
-    def __init__(self, use_shim: bool, rename_identifiers: bool, min_static_instructions: int):
-        self.rejection_filter = RejectionFilter(
-            min_static_instructions=min_static_instructions, use_shim=use_shim
-        )
-        self.rewriter = CodeRewriter(rename_identifiers=rename_identifiers)
-
-    def process(self, text: str) -> FileOutcome:
-        result = self.rejection_filter.check(text)
-        kernel_count = (
-            len(result.compilation.kernels) if result.compilation is not None else 0
-        )
-        outcome = FileOutcome(
-            accepted=result.accepted,
-            reason_value=result.reason.value,
-            detail=result.detail,
-            kernel_count=kernel_count,
-            content_line_count=count_lines(text),
-        )
-        if not result.accepted:
-            return outcome
-
-        outcome.original_vocabulary = tuple(sorted(bag_of_words_vocabulary(text)))
-        rewritten = self.rewriter.rewrite_or_none(text)
-        if rewritten is not None:
-            outcome.rewritten_text = rewritten.text
-            outcome.rewritten_line_count = count_lines(rewritten.text)
-            outcome.rewritten_vocabulary = tuple(
-                sorted(bag_of_words_vocabulary(rewritten.text))
-            )
-        return outcome
-
-
-def _default_jobs() -> int:
-    return env_int("REPRO_PREPROCESS_JOBS", default=1, minimum=1)
 
 
 def fold_outcomes(outcomes: list[FileOutcome]) -> PipelineResult:
@@ -208,9 +149,6 @@ def fold_outcomes(outcomes: list[FileOutcome]) -> PipelineResult:
 class PreprocessingPipeline:
     """Runs rejection filtering and code rewriting over content files."""
 
-    #: Below this many uncached files a worker pool costs more than it saves.
-    PARALLEL_THRESHOLD = 16
-
     def __init__(
         self,
         use_shim: bool = True,
@@ -218,16 +156,15 @@ class PreprocessingPipeline:
         min_static_instructions: int = 3,
         cache: PreprocessCache | None = None,
         cache_dir: str | None = None,
-        jobs: int | None = None,
     ):
         self.use_shim = use_shim
         self.rename_identifiers = rename_identifiers
         self.min_static_instructions = min_static_instructions
         self.cache = cache if cache is not None else resolve_cache(cache_dir)
-        self.jobs = jobs if jobs is not None else _default_jobs()
-        self._processor = _FileProcessor(use_shim, rename_identifiers, min_static_instructions)
-        self.rejection_filter = self._processor.rejection_filter
-        self.rewriter = self._processor.rewriter
+        self.rejection_filter = RejectionFilter(
+            min_static_instructions=min_static_instructions, use_shim=use_shim
+        )
+        self.rewriter = CodeRewriter(rename_identifiers=rename_identifiers)
 
     # ------------------------------------------------------------------
 
@@ -236,15 +173,9 @@ class PreprocessingPipeline:
         return fold_outcomes(self.outcomes(content_files))
 
     def outcomes(self, content_files: list[str]) -> list[FileOutcome]:
-        """Per-file outcomes in input order (the shardable half of a run:
-        pure per-file work, cache-served and parallelizable; all global
-        aggregation lives in :func:`fold_outcomes`)."""
-        return self._outcomes_for(content_files)
-
-    # ------------------------------------------------------------------
-
-    def _outcomes_for(self, content_files: list[str]) -> list[FileOutcome]:
-        """Per-file outcomes in input order, consulting the cache first."""
+        """Per-file outcomes in input order, consulting the cache first (the
+        shardable half of a run: pure per-file work; all global aggregation
+        lives in :func:`fold_outcomes`)."""
         keys = [
             outcome_key(
                 text, self.use_shim, self.rename_identifiers, self.min_static_instructions
@@ -264,47 +195,47 @@ class PreprocessingPipeline:
             by_key.setdefault(keys[index], []).append(index)
         unique_indices = [indices[0] for indices in by_key.values()]
 
-        fresh = self._process_batch([content_files[i] for i in unique_indices])
-        for index, outcome in zip(unique_indices, fresh):
+        for index in unique_indices:
+            outcome = self._process(content_files[index])
             self.cache.put(keys[index], outcome)
             for duplicate in by_key[keys[index]]:
                 outcomes[duplicate] = outcome
         return outcomes  # type: ignore[return-value]
 
-    def _process_batch(self, texts: list[str]) -> list[FileOutcome]:
-        if self.jobs > 1 and len(texts) >= self.PARALLEL_THRESHOLD:
-            try:
-                return self._process_parallel(texts)
-            except (ImportError, OSError):
-                pass  # no multiprocessing support in this environment
-        return [self._processor.process(text) for text in texts]
+    def _process(self, text: str) -> FileOutcome:
+        """Run the rejection filter and rewriter over one content file."""
+        result = self.rejection_filter.check(text)
+        kernel_count = (
+            len(result.compilation.kernels) if result.compilation is not None else 0
+        )
+        outcome = FileOutcome(
+            accepted=result.accepted,
+            reason_value=result.reason.value,
+            detail=result.detail,
+            kernel_count=kernel_count,
+            content_line_count=count_lines(text),
+        )
+        if not result.accepted:
+            return outcome
 
-    def _process_parallel(self, texts: list[str]) -> list[FileOutcome]:
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context()
-        chunksize = max(1, len(texts) // (self.jobs * 4))
-        with context.Pool(
-            processes=self.jobs,
-            initializer=_init_worker,
-            initargs=(self.use_shim, self.rename_identifiers, self.min_static_instructions),
-        ) as pool:
-            return pool.map(_process_in_worker, texts, chunksize=chunksize)
+        outcome.original_vocabulary = tuple(sorted(bag_of_words_vocabulary(text)))
+        rewritten = self.rewriter.rewrite_or_none(text)
+        if rewritten is not None:
+            outcome.rewritten_text = rewritten.text
+            outcome.rewritten_line_count = count_lines(rewritten.text)
+            outcome.rewritten_vocabulary = tuple(
+                sorted(bag_of_words_vocabulary(rewritten.text))
+            )
+        return outcome
 
 
 def preprocess_content_files(
     content_files: list[str],
     use_shim: bool = True,
     rename_identifiers: bool = True,
-    jobs: int | None = None,
 ) -> PipelineResult:
     """Convenience wrapper around :class:`PreprocessingPipeline`."""
-    pipeline = PreprocessingPipeline(
-        use_shim=use_shim, rename_identifiers=rename_identifiers, jobs=jobs
-    )
+    pipeline = PreprocessingPipeline(use_shim=use_shim, rename_identifiers=rename_identifiers)
     return pipeline.run(content_files)
 
 

@@ -52,6 +52,7 @@ byte-identical store entries.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -131,8 +132,6 @@ def resolve_plan(
     environment, and the workers-imply-shards expansion fires only when no
     shard count was given anywhere — asking for 1 shard means 1 shard.
     """
-    import os
-
     if shards is None and (os.environ.get("REPRO_SHARDS") or "").strip():
         # 0 doubles as the sentinel for "no usable value": an explicit
         # REPRO_SHARDS=0 and a malformed one (env_int's warned fallback)
@@ -326,7 +325,6 @@ class _CorpusSpec(_FanoutSpec):
             use_shim=cfg.use_shim,
             rename_identifiers=cfg.rename_identifiers,
             min_static_instructions=cfg.min_static_instructions,
-            jobs=cfg.preprocess_jobs,
         )
         # Detached per outcome: a cold run shares one FileOutcome between
         # duplicate (forked) files while per-file-cache hits yield distinct
@@ -491,23 +489,11 @@ def sharded_synthesis(runner, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _neutralized_worker_config(cfg):
-    """Strip nested-parallelism knobs for a pool worker process.
-
-    The shard pool *is* the parallelism: neutralize the nested pool knobs
-    (env and config-carried alike) so N shard workers do not each spawn
-    their own measure/preprocess pools and thrash the host with N*M
-    processes.  Results are identical with or without those pools by
-    their own contracts, and preprocess_jobs is deliberately
-    un-fingerprinted, so no store key changes.
-    """
-    import dataclasses
-    import os
-
-    os.environ["REPRO_MEASURE_WORKERS"] = "0"
-    os.environ["REPRO_PREPROCESS_JOBS"] = "1"
+def _in_process_shards() -> None:
+    """A pool worker resolves its shards in-process: the shard pool *is* the
+    parallelism, so no runner the worker builds may fan out into a pool of
+    its own (N workers × M nested processes would thrash the host)."""
     os.environ["REPRO_WORKERS"] = "0"
-    return dataclasses.replace(cfg, preprocess_jobs=1)
 
 
 def _shard_worker(task):
@@ -522,7 +508,7 @@ def _shard_worker(task):
     from repro.store.artifact_store import resolve_store
     from repro.store.stages import PipelineRunner
 
-    cfg = _neutralized_worker_config(cfg)
+    _in_process_shards()
     # resolve_store, not a fresh ArtifactStore: a pool worker handling
     # several shard tasks then shares one memory layer across them (e.g.
     # the merged kernel batch deserializes once per worker, not per task).
@@ -544,7 +530,7 @@ def _drain_worker(task):
     from repro.store.artifact_store import resolve_store
     from repro.store.stages import PipelineRunner
 
-    cfg = _neutralized_worker_config(cfg)
+    _in_process_shards()
     runner = PipelineRunner(
         store=resolve_store(cache_dir),
         plan=ShardPlan(shards=shards, workers=0, steal=True),

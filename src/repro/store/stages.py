@@ -72,9 +72,6 @@ class PipelineConfig:
     use_shim: bool = True
     rename_identifiers: bool = True
     min_static_instructions: int = 3
-    #: Worker processes for cold preprocessing.  Deliberately *not* part of
-    #: any fingerprint: parallel and serial runs are byte-identical.
-    preprocess_jobs: int | None = None
     # train
     backend: str = "ngram"
     ngram_order: int = 12
@@ -91,12 +88,6 @@ class PipelineConfig:
     synthetic_kernel_count: int = 100
     max_attempts_per_kernel: int = 40
     sample_seed: int = 0
-    #: Wavefront width for the batched sample stage.  Like
-    #: ``preprocess_jobs``, deliberately *not* part of any fingerprint:
-    #: every width produces byte-identical kernels (per-stream RNG
-    #: isolation), so batched and sequential runs share store entries.
-    #: ``None`` defers to ``REPRO_SAMPLE_BATCH``, then the built-in default.
-    sample_batch: int | None = None
     # execute
     executed_global_size: int = 128
     local_size: int = 32
@@ -187,10 +178,9 @@ def synthesis_fingerprint(cfg: PipelineConfig) -> str:
 
 
 def _driver_payload(cfg: PipelineConfig) -> dict:
-    # Engine choice and measurement workers are deliberately excluded: all
-    # engines and any worker count produce bit-identical measurements (the
-    # differential tests enforce this), so artifacts are shareable across
-    # them.
+    # Engine choice is deliberately excluded: all engines produce
+    # bit-identical measurements (the differential tests enforce this), so
+    # artifacts are shareable across them.
     return {
         "executed_global_size": cfg.executed_global_size,
         "local_size": cfg.local_size,
@@ -471,7 +461,6 @@ class PipelineRunner:
                 use_shim=cfg.use_shim,
                 rename_identifiers=cfg.rename_identifiers,
                 min_static_instructions=cfg.min_static_instructions,
-                jobs=cfg.preprocess_jobs,
             )
             # Drop the raw mined texts: the mine artifact already holds them,
             # and keeping them here would double the size of every corpus
@@ -539,7 +528,6 @@ class PipelineRunner:
                 max_kernel_length=cfg.max_kernel_length,
                 temperature=cfg.sampler_temperature,
                 seed_kernel_name=cfg.seed_kernel_name,
-                batch_size=cfg.sample_batch,
             ),
             min_static_instructions=cfg.min_static_instructions,
         )

@@ -24,7 +24,12 @@ from repro.preprocess.rejection import RejectionFilter
 from repro.preprocess.rewriter import CodeRewriter
 from repro.preprocess.shim import SHIM_FEATURE_MACROS, SHIM_TYPEDEFS
 from repro.synthesis.argspec import ArgumentSpec
-from repro.synthesis.sampler import KernelSampler, SamplerConfig, stream_rng
+from repro.synthesis.sampler import (
+    DEFAULT_SAMPLE_BATCH,
+    KernelSampler,
+    SamplerConfig,
+    stream_rng,
+)
 
 #: Candidates matching this pattern take the slow text rewrite path.  The
 #: rejection check compiles under the shim prelude's macro table while the
@@ -433,25 +438,19 @@ class CLgen:
         A stream that exhausts its attempt budget yields ``kernel=None``
         without affecting later streams.
 
-        When the configured wavefront width
-        (:meth:`repro.synthesis.sampler.SamplerConfig.resolved_batch_size`,
-        i.e. ``REPRO_SAMPLE_BATCH``) is above one and the backend exposes a
-        batch sampler, the range is computed by
-        :meth:`generate_kernel_wavefront` — byte-identical output, the
-        streams just advance through the model together.  Width one is the
-        sequential reference path below.
+        A range of two or more streams over a backend with a batch sampler
+        is computed by :meth:`generate_kernel_wavefront` — byte-identical
+        output, the streams just advance through the model together.  A
+        single stream takes the sequential attempt loop below.
         """
         if stop - start > 1 and callable(getattr(self.model, "make_batch_sampler", None)):
-            width = self.sampler.config.resolved_batch_size()
-            if width > 1:
-                return self.generate_kernel_wavefront(
-                    start,
-                    stop,
-                    spec=spec,
-                    seed=seed,
-                    max_attempts_per_kernel=max_attempts_per_kernel,
-                    batch_size=width,
-                )
+            return self.generate_kernel_wavefront(
+                start,
+                stop,
+                spec=spec,
+                seed=seed,
+                max_attempts_per_kernel=max_attempts_per_kernel,
+            )
         entries: list[KernelStreamResult] = []
         for index in range(start, stop):
             statistics = SynthesisStatistics(requested=1)
@@ -474,7 +473,7 @@ class CLgen:
         spec: ArgumentSpec | None = None,
         seed: int = 0,
         max_attempts_per_kernel: int = 50,
-        batch_size: int | None = None,
+        batch_size: int = DEFAULT_SAMPLE_BATCH,
     ) -> list[KernelStreamResult]:
         """Batched :meth:`generate_kernel_range`: advance all pending streams
         one character per model step.
@@ -495,8 +494,7 @@ class CLgen:
             return []
         spec = spec or ArgumentSpec.paper_default()
         config = self.sampler.config
-        width = batch_size if batch_size is not None else config.resolved_batch_size()
-        width = max(1, min(width, stop - start))
+        width = max(1, min(batch_size, stop - start))
         batch_factory = getattr(self.model, "make_batch_sampler", None)
         if not callable(batch_factory):
             raise SynthesisError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.model.backend import LanguageModel
 
@@ -35,8 +34,7 @@ def stream_rng(sample_seed: int, index: int) -> random.Random:
     return random.Random(stream_seed(sample_seed, index))
 
 
-#: Default wavefront width when neither ``SamplerConfig.batch_size`` nor
-#: ``REPRO_SAMPLE_BATCH`` says otherwise (chosen by the batch-width sweep in
+#: Wavefront width of the sample stage (chosen by the batch-width sweep in
 #: ARCHITECTURE.md "Sample wavefront": throughput flattens past 64, and a
 #: wider batch only holds more lanes open near the tail of a range).
 DEFAULT_SAMPLE_BATCH = 64
@@ -49,21 +47,6 @@ class SamplerConfig:
     max_kernel_length: int = 2048
     temperature: float = 0.7
     seed_kernel_name: str = "A"
-    #: Wavefront width for batched cross-stream synthesis
-    #: (:meth:`repro.synthesis.generator.CLgen.generate_kernel_wavefront`).
-    #: ``None`` defers to the ``REPRO_SAMPLE_BATCH`` environment knob, then
-    #: to :data:`DEFAULT_SAMPLE_BATCH`.  Purely an execution-shape knob:
-    #: every width produces byte-identical kernels (per-stream RNG
-    #: isolation), so it is never fingerprinted.
-    batch_size: int | None = None
-
-    def resolved_batch_size(self) -> int:
-        """The effective wavefront width (explicit config > env > default)."""
-        if self.batch_size is not None:
-            return max(1, self.batch_size)
-        from repro.envutil import env_int
-
-        return env_int("REPRO_SAMPLE_BATCH", DEFAULT_SAMPLE_BATCH, minimum=1)
 
 
 @dataclass
@@ -116,95 +99,3 @@ class KernelSampler:
                     completed = True
                     break
         return SampledCandidate(text=text, completed=completed, characters_sampled=sampled)
-
-    def sample_many(
-        self,
-        seed_text: str,
-        count: int,
-        rng: random.Random | None = None,
-        rngs: Sequence[random.Random] | None = None,
-    ) -> list[SampledCandidate]:
-        """Draw *count* independent candidates from the same seed.
-
-        When the backend exposes a batch sampler, all candidates advance
-        through the model in lock-step as one batch; otherwise candidates
-        are sampled sequentially.
-
-        Randomness comes either from one shared *rng* (candidate *k*'s
-        stream then depends on every draw candidates ``0..k-1`` made before
-        it) or from *rngs* — one independent generator per candidate, as
-        produced by :func:`stream_rng`.  With per-candidate generators each
-        candidate consumes only its own stream, so batched and sequential
-        sampling produce identical candidates and any subset can be
-        resampled in isolation.  (This per-candidate mode is what the
-        wavefront driver —
-        :meth:`repro.synthesis.generator.CLgen.generate_kernel_wavefront` —
-        builds on to batch attempts *across* kernel streams, including the
-        rejection/refill loop; see ARCHITECTURE "The sample wavefront".)
-        """
-        if count <= 0:
-            return []
-        if (rng is None) == (rngs is None):
-            raise ValueError("pass exactly one of rng= or rngs=")
-        if rngs is not None and len(rngs) != count:
-            raise ValueError(f"expected {count} per-candidate rngs, got {len(rngs)}")
-        batch_factory = getattr(self._model, "make_batch_sampler", None)
-        if count == 1 or not callable(batch_factory):
-            if rngs is not None:
-                return [self.sample(seed_text, rngs[index]) for index in range(count)]
-            return [self.sample(seed_text, rng) for _ in range(count)]
-        return self._sample_batched(seed_text, count, rng, rngs, batch_factory)
-
-    def _sample_batched(
-        self,
-        seed_text: str,
-        count: int,
-        rng: random.Random | None,
-        rngs: Sequence[random.Random] | None,
-        batch_factory,
-    ) -> list[SampledCandidate]:
-        initial_depth = seed_text.count("{") - seed_text.count("}")
-        if initial_depth <= 0:
-            initial_depth = 1
-
-        sampler = batch_factory(seed_text, count)
-        suffixes: list[list[str]] = [[] for _ in range(count)]
-        depths = [initial_depth] * count
-        completed = [False] * count
-        sampled = [0] * count
-        #: Position -> original candidate index for the still-active chains.
-        active = list(range(count))
-
-        steps = 0
-        while active and steps < self.config.max_kernel_length:
-            # Per-candidate generators ride along with their chains: after a
-            # compact() the batch sampler sees exactly the streams of the
-            # still-active candidates, in position order.
-            source = rng if rngs is None else [rngs[candidate] for candidate in active]
-            characters = sampler.sample(source, self.config.temperature)
-            finished_positions: set[int] = set()
-            for position, character in enumerate(characters):
-                candidate = active[position]
-                suffixes[candidate].append(character)
-                sampled[candidate] += 1
-                if character == "{":
-                    depths[candidate] += 1
-                elif character == "}":
-                    depths[candidate] -= 1
-                    if depths[candidate] <= 0:
-                        completed[candidate] = True
-                        finished_positions.add(position)
-            steps += 1
-            if finished_positions:
-                keep = [p for p in range(len(active)) if p not in finished_positions]
-                sampler.compact(keep)
-                active = [active[p] for p in keep]
-
-        return [
-            SampledCandidate(
-                text=seed_text + "".join(suffixes[index]),
-                completed=completed[index],
-                characters_sampled=sampled[index],
-            )
-            for index in range(count)
-        ]

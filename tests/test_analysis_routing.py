@@ -50,8 +50,7 @@ def _run(source, engine="auto"):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches(monkeypatch):
-    monkeypatch.delenv("REPRO_STATIC_ROUTING", raising=False)
+def _fresh_caches():
     GLOBAL_COMPILATION_CACHE.clear()
     ANALYSIS_STATS.reset()
     yield
@@ -68,16 +67,10 @@ class TestRouting:
         _run(SAFE)
         assert ANALYSIS_STATS.routed_skips == 0
 
-    def test_kill_switch_disables_routing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STATIC_ROUTING", "0")
-        _run(DOOMED)
-        assert ANALYSIS_STATS.routed_skips == 0
-
-    def test_routed_and_unrouted_outputs_bit_identical(self, monkeypatch):
+    def test_routed_and_unrouted_outputs_bit_identical(self):
         routed = _run(DOOMED)
-        monkeypatch.setenv("REPRO_STATIC_ROUTING", "0")
         GLOBAL_COMPILATION_CACHE.clear()
-        unrouted = _run(DOOMED)
+        unrouted = _run(DOOMED, engine="vectorized")
         compiled = _run(DOOMED, engine="compiled")
         assert routed == unrouted == compiled
 

@@ -50,6 +50,31 @@ class TestLexer:
         with pytest.raises(LexerError):
             tokenize("a /* never closed")
 
+    @pytest.mark.parametrize(
+        ("source", "message", "line", "column"),
+        [
+            ("a /* never closed", "unterminated block comment", 1, 3),
+            ("int a;\n  /* x\n y", "unterminated block comment", 2, 3),
+            ('x = "abc', "unterminated string literal", 1, 5),
+            ('x = "abc\\', "unterminated string literal", 1, 5),
+            ('"a\\\nb" "open', "unterminated string literal", 2, 4),
+            ("c = 'a", "unterminated character literal", 1, 5),
+            ("c = '\\'", "unterminated character literal", 1, 5),
+            ("a @ b", "unexpected character '@'", 1, 3),
+            ("a \\ b", "unexpected character '\\\\'", 1, 3),
+            ("x\\\r\ny", "unexpected character '\\\\'", 1, 2),
+            ("/* a\nb */ $", "unexpected character '$'", 2, 6),
+            ("\tint\x00", "unexpected character '\\x00'", 1, 5),
+            ("ok // fine\n`", "unexpected character '`'", 2, 1),
+        ],
+    )
+    def test_error_message_line_and_column(self, source, message, line, column):
+        with pytest.raises(LexerError) as raised:
+            tokenize(source)
+        error = raised.value
+        assert (error.message, error.line, error.column) == (message, line, column)
+        assert str(error) == f"{line}:{column}: {message}"
+
     def test_line_and_column_tracking(self):
         tokens = tokenize("a\n  b")
         assert tokens[0].line == 1

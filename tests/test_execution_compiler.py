@@ -175,23 +175,32 @@ def _bit_identical(a, b) -> bool:
 
 class TestCompiledEngineSemantics:
     def _run_both(self, source, buffers, scalars, ndrange, max_steps=50_000):
+        """The routed default engine and the interpreter, each on a fresh
+        parse; the generic ``engine="vectorized"`` tier runs too and must
+        reproduce the routed output exactly."""
         outputs = []
-        for engine in ("compiled", "interpreter"):
+        for engine in ("auto", "vectorized", "interpreter"):
             unit = parse(source)
             pool = MemoryPool()
             for name, (size, values, space) in buffers.items():
                 buffer = pool.allocate(name, size, address_space=space)
                 if values is not None:
                     buffer.copy_from(values)
-            runner = run_kernel if engine == "compiled" else run_kernel_interpreted
-            result = runner(
-                unit, pool, scalars, ndrange, max_steps_per_item=max_steps
-            )
+            if engine == "interpreter":
+                result = run_kernel_interpreted(
+                    unit, pool, scalars, ndrange, max_steps_per_item=max_steps
+                )
+            else:
+                result = run_kernel(
+                    unit, pool, scalars, ndrange, max_steps_per_item=max_steps, engine=engine
+                )
             outputs.append(
                 ({name: b.to_list() for name, b in pool.buffers.items()},
                  dataclasses.asdict(result.stats))
             )
-        return outputs
+        routed, generic, interpreted = outputs
+        assert generic == routed
+        return routed, interpreted
 
     def test_barrier_reduction_matches(self):
         source = (
@@ -274,6 +283,28 @@ class TestCompiledEngineSemantics:
         )
         assert compiled == interpreted
         assert compiled[0]["bins"][0] == 16 * 3
+
+
+class TestBlockScope:
+    """C scoping: a declaration inside a block ends with the block, so the
+    outer ``d`` is visible again after it.  No engine scopes names yet —
+    each keeps one flat table per work-item, so the inner ``int d = 7``
+    overwrites the outer ``d`` and every element reads 7."""
+
+    SOURCE = (
+        "__kernel void k(__global float* a) {\n"
+        "  int d = get_global_id(0);\n"
+        "  { int d = 7; }\n"
+        "  a[get_global_id(0)] = d;\n}"
+    )
+
+    @pytest.mark.xfail(strict=True, reason="the engines do not scope block declarations")
+    @pytest.mark.parametrize("engine", ["interpreter", "compiled", "vectorized", "auto"])
+    def test_block_declaration_ends_with_the_block(self, engine):
+        pool = MemoryPool()
+        pool.allocate("a", 8)
+        run_kernel(parse(self.SOURCE), pool, {}, NDRange.linear(8, 8), engine=engine)
+        assert pool.get("a").to_list() == [float(i) for i in range(8)]
 
 
 class TestCompilationCache:

@@ -4,8 +4,7 @@ The three-way differential suite (test_execution_compiler.py) asserts
 bit-identity over the benchmark inventory; these tests pin down the tier's
 *mechanisms*: engine selection and caching, bailout purity (the memory pool
 must be untouched), cross-lane hazard detection, barrier epochs in
-group-sequential mode, order-independent atomics, and the opt-in
-measure_many worker pool.
+group-sequential mode and order-independent atomics.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import dataclasses
 import pytest
 
 from repro.clc import parse
-from repro.driver.harness import DriverConfig, HostDriver
 from repro.errors import LockstepBailout
 from repro.execution import (
     GLOBAL_COMPILATION_CACHE,
@@ -268,32 +266,3 @@ class TestAtomics:
             NDRange.linear(8, 8),
         )
         _assert_all_equal(outputs)
-
-
-class TestMeasureManyWorkers:
-    SOURCES = [
-        (
-            f"__kernel void k{index}(__global float* a, __global float* b, const int n) {{\n"
-            f"  int g = get_global_id(0);\n"
-            f"  if (g < n) {{ a[g] = b[g] * {index}.5f + {index}.0f; }}\n}}"
-        )
-        for index in range(6)
-    ]
-
-    def test_worker_pool_matches_sequential(self):
-        config = DriverConfig(executed_global_size=32, local_size=16)
-        names = [f"k{index}" for index in range(len(self.SOURCES))]
-        sequential = HostDriver(config=config).measure_many(self.SOURCES, names=names)
-        parallel = HostDriver(config=config).measure_many(
-            self.SOURCES, names=names, workers=2
-        )
-        assert [m.name for m in parallel] == [m.name for m in sequential]
-        for a, b in zip(sequential, parallel):
-            assert a.runtimes == b.runtimes
-            assert a.oracles == b.oracles
-            assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
-
-    def test_workers_default_off(self):
-        driver = HostDriver(config=DriverConfig(executed_global_size=16, local_size=8))
-        assert driver._resolve_workers(None) == 0
-        assert driver._resolve_workers(3) == 3

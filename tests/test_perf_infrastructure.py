@@ -1,9 +1,9 @@
 """Tests for the PR-1 performance infrastructure.
 
 Covers the batched LSTM sampler (lock-step chains must be real samples of
-the same model the sequential sampler uses), the preprocessing result cache
-(in-memory and on-disk) and the multiprocessing pipeline (parallel and
-serial runs must produce byte-identical corpora and statistics).
+the same model the sequential sampler uses), the sample wavefront (every
+width must reproduce the sequential per-stream reference) and the
+preprocessing result cache (in-memory and on-disk).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 from repro.model.lstm import LSTMConfig, LSTMLanguageModel
 from repro.preprocess.cache import PreprocessCache, outcome_key
 from repro.preprocess.pipeline import PreprocessingPipeline
-from repro.synthesis.sampler import KernelSampler, SamplerConfig
+from repro.synthesis.sampler import SamplerConfig
 
 
 TRAINING_TEXT = (
@@ -66,27 +66,6 @@ class TestBatchSampler:
         characters = batched.sample(random.Random(0))
         assert len(characters) == 3
 
-    def test_sample_many_uses_batching_and_completes(self, tiny_lstm):
-        sampler = KernelSampler(
-            tiny_lstm, SamplerConfig(max_kernel_length=400, temperature=0.7)
-        )
-        seed_text = "__kernel void A(__global float* a, __global float* b, const int c) {"
-        candidates = sampler.sample_many(seed_text, 6, random.Random(3))
-        assert len(candidates) == 6
-        for candidate in candidates:
-            assert candidate.text.startswith(seed_text)
-            assert candidate.characters_sampled <= 400
-            if candidate.completed:
-                # Completion is defined by the brace depth returning to zero.
-                body = candidate.text[len(seed_text):]
-                assert body.count("}") >= body.count("{")
-
-    def test_sample_many_zero_and_one(self, tiny_lstm):
-        sampler = KernelSampler(tiny_lstm, SamplerConfig(max_kernel_length=50))
-        assert sampler.sample_many("k {", 0, random.Random(0)) == []
-        only = sampler.sample_many("k {", 1, random.Random(0))
-        assert len(only) == 1
-
 
 def _stream_outcomes(results):
     """The observable per-stream outcome tuple used for bit-identity checks."""
@@ -110,16 +89,15 @@ class TestWavefront:
     BUDGET = 6
 
     def _sequential(self, clgen, count, seed):
-        """The sequential reference: ``generate_kernel_range`` with the
-        wavefront forced off (width one takes the plain attempt loop)."""
-        original = clgen.sampler.config
-        clgen.sampler.config = dataclasses.replace(original, batch_size=1)
-        try:
-            return clgen.generate_kernel_range(
-                0, count, seed=seed, max_attempts_per_kernel=self.BUDGET
+        """The sequential reference: one single-stream range per stream (a
+        single stream takes the plain attempt loop)."""
+        return [
+            entry
+            for index in range(count)
+            for entry in clgen.generate_kernel_range(
+                index, index + 1, seed=seed, max_attempts_per_kernel=self.BUDGET
             )
-        finally:
-            clgen.sampler.config = original
+        ]
 
     def test_ngram_widths_match_sequential(self, clgen):
         reference = _stream_outcomes(self._sequential(clgen, 8, seed=5))
@@ -161,24 +139,31 @@ class TestWavefront:
             )
             assert _stream_outcomes(batched) == reference, f"width {width}"
 
-    def test_env_width_one_is_the_sequential_path(self, clgen, monkeypatch):
-        """``REPRO_SAMPLE_BATCH=1`` must not merely match the sequential
-        output — it must *be* the sequential code path."""
-        monkeypatch.setenv("REPRO_SAMPLE_BATCH", "1")
+    def test_single_stream_range_is_the_sequential_path(self, clgen, monkeypatch):
+        """A one-stream range must not merely match the wavefront output —
+        it must *be* the sequential code path (the reference above)."""
 
         def _boom(*args, **kwargs):  # pragma: no cover - the assertion
-            raise AssertionError("wavefront invoked despite REPRO_SAMPLE_BATCH=1")
+            raise AssertionError("wavefront invoked for a single stream")
 
         monkeypatch.setattr(clgen, "generate_kernel_wavefront", _boom)
-        results = clgen.generate_kernel_range(0, 3, seed=5, max_attempts_per_kernel=self.BUDGET)
-        assert len(results) == 3
+        results = self._sequential(clgen, 3, seed=5)
+        assert [entry.index for entry in results] == [0, 1, 2]
 
-    def test_env_width_drives_range(self, clgen, monkeypatch):
-        """An explicit env width must route ``generate_kernel_range`` through
-        the wavefront at that width, byte-identically."""
+    def test_multi_stream_range_runs_the_wavefront(self, clgen, monkeypatch):
+        """A range of two or more streams must run through the wavefront,
+        byte-identically to the sequential reference."""
         reference = _stream_outcomes(self._sequential(clgen, 5, seed=5))
-        monkeypatch.setenv("REPRO_SAMPLE_BATCH", "3")
+        calls = []
+        wavefront = clgen.generate_kernel_wavefront
+
+        def _spy(*args, **kwargs):
+            calls.append(args)
+            return wavefront(*args, **kwargs)
+
+        monkeypatch.setattr(clgen, "generate_kernel_wavefront", _spy)
         routed = clgen.generate_kernel_range(0, 5, seed=5, max_attempts_per_kernel=self.BUDGET)
+        assert calls == [(0, 5)]
         assert _stream_outcomes(routed) == reference
 
 
@@ -196,16 +181,6 @@ class TestPreprocessCacheAndParallelism:
     def _inputs(self):
         variants = [ACCEPTED_SOURCE.replace("2.0f", f"{k}.0f") for k in range(2, 20)]
         return variants + [REJECTED_SOURCE, ACCEPTED_SOURCE, ACCEPTED_SOURCE]
-
-    def test_serial_and_parallel_runs_agree(self):
-        inputs = self._inputs()
-        serial = PreprocessingPipeline(cache=PreprocessCache(), jobs=1).run(inputs)
-        parallel = PreprocessingPipeline(cache=PreprocessCache(), jobs=2).run(inputs)
-        assert serial.corpus_texts == parallel.corpus_texts
-        assert dataclasses.asdict(serial.statistics) == dataclasses.asdict(parallel.statistics)
-        assert [r.accepted for r in serial.rejections] == [
-            r.accepted for r in parallel.rejections
-        ]
 
     def test_repeat_run_is_served_from_cache(self):
         cache = PreprocessCache()

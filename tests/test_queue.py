@@ -547,37 +547,29 @@ class TestSampleFanout:
         assert stats.rejection_reasons["duplicate"] == 1
 
     def test_batched_per_stream_sampling_matches_sequential(self):
-        """With one RNG per candidate, the n-gram batch sampler must yield
-        candidates bit-identical to sampling each stream alone — the
-        property that lets batched samplers serve the parallel shards."""
-        import random
-
-        from repro.synthesis.sampler import KernelSampler, SamplerConfig, stream_rng
+        """With one RNG per lane, the n-gram batch sampler must yield
+        characters bit-identical to sampling each stream alone — the
+        property that lets the wavefront serve the parallel shards."""
+        from repro.errors import ModelError
+        from repro.synthesis.sampler import stream_rng
 
         runner = PipelineRunner(store=ArtifactStore(directory=None))
-        cfg = tiny_config()
-        model = runner.trained_model(cfg).model
-        sampler = KernelSampler(
-            model, SamplerConfig(temperature=0.6, max_kernel_length=512)
-        )
+        model = runner.trained_model(tiny_config()).model
         seed_text = "__kernel void A(__global float* a) {"
-        batched = sampler.sample_many(
-            seed_text, 4, rngs=[stream_rng(9, index) for index in range(4)]
-        )
-        sequential = [
-            sampler.sample(seed_text, stream_rng(9, index)) for index in range(4)
-        ]
-        assert [c.text for c in batched] == [c.text for c in sequential]
-        assert [c.completed for c in batched] == [c.completed for c in sequential]
+        steps = 200
 
-        with pytest.raises(ValueError, match="exactly one of"):
-            sampler.sample_many(seed_text, 2)
-        with pytest.raises(ValueError, match="exactly one of"):
-            sampler.sample_many(
-                seed_text, 2, rng=random.Random(0), rngs=[random.Random(0)] * 2
-            )
-        with pytest.raises(ValueError, match="per-candidate"):
-            sampler.sample_many(seed_text, 2, rngs=[random.Random(0)])
+        batch = model.make_batch_sampler(seed_text, 4)
+        rngs = [stream_rng(9, index) for index in range(4)]
+        lanes = zip(*(batch.sample(rngs, 0.6) for _ in range(steps)))
+        batched = ["".join(characters) for characters in lanes]
+        sequential = []
+        for index in range(4):
+            state, rng = model.make_sampler(seed_text), stream_rng(9, index)
+            sequential.append("".join(state.sample(rng, 0.6) for _ in range(steps)))
+        assert batched == sequential
+
+        with pytest.raises(ModelError, match="per-chain rngs"):
+            batch.sample(rngs[:2], 0.6)
 
 
 class TestTrainCliRoundTrip:

@@ -9,10 +9,11 @@ by separate processes sharing one store.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -190,32 +191,28 @@ class TestShardedBitIdentity:
                 assert twin.exists(), f"{kind}: sharded run missed key {entry.name}"
                 assert entry.read_bytes() == twin.read_bytes(), kind
 
-    def test_batched_sharded_entries_match_unbatched_unsharded(self, tmp_path):
-        """The wavefront knob is pure execution shape: a batched sharded run
-        must leave byte-identical store entries (same keys, same bytes) to an
-        unbatched unsharded run — including the sample artifacts, because
-        ``sample_batch`` is never fingerprinted."""
-        plain_dir, batched_dir = tmp_path / "plain", tmp_path / "batched"
-        for directory, shards, batch in ((plain_dir, 1, 1), (batched_dir, SHARDS, 16)):
-            cfg = dataclasses.replace(tiny_config(), sample_batch=batch)
+    def test_wavefront_and_sequential_sample_entries_identical(self, tmp_path):
+        """The sample stage's two execution shapes must leave byte-identical
+        store entries: an unsharded run samples all streams in one wavefront,
+        a run with one shard per kernel samples each stream on its own
+        (the sequential attempt loop)."""
+        cfg = tiny_config()
+        wavefront_dir, sequential_dir = tmp_path / "wavefront", tmp_path / "sequential"
+        for directory, shards in (
+            (wavefront_dir, 1), (sequential_dir, cfg.synthetic_kernel_count)
+        ):
             runner = PipelineRunner(store=ArtifactStore(directory=directory), shards=shards)
             runner.synthesis(cfg)
             runner.synthetic_measurements(cfg)
         for kind in ("synthesis", "synthetic-measurements"):
-            entries = sorted((plain_dir / kind).glob("*/*.pkl"))
+            entries = sorted((wavefront_dir / kind).glob("*/*.pkl"))
             assert entries, kind
             for entry in entries:
-                twin = batched_dir / kind / entry.parent.name / entry.name
-                assert twin.exists(), f"{kind}: batched run stored a different key"
+                twin = sequential_dir / kind / entry.parent.name / entry.name
+                assert twin.exists(), f"{kind}: sequential run stored a different key"
                 assert twin.read_bytes() == entry.read_bytes(), (
-                    f"{kind}/{entry.name}: batched-sharded entry diverges"
+                    f"{kind}/{entry.name}: sequential-stream entry diverges"
                 )
-
-    def test_sample_batch_never_fingerprints(self):
-        cfg = tiny_config()
-        for batch in (None, 1, 16, 128):
-            tweaked = dataclasses.replace(cfg, sample_batch=batch)
-            assert synthesis_fingerprint(tweaked) == synthesis_fingerprint(cfg)
 
     def test_non_default_min_static_instructions_matches_unsharded(self):
         # Regression: the unsharded corpus compute used to drop
@@ -493,21 +490,6 @@ class TestEnvHardeningRegression:
     """ISSUE 4 bugfix: malformed ``REPRO_*`` env knobs must degrade with a
     warning, never crash or be silently misread."""
 
-    def test_malformed_measure_workers_falls_back_to_sequential(self, monkeypatch):
-        from repro.driver.harness import HostDriver
-
-        monkeypatch.setenv("REPRO_MEASURE_WORKERS", "banana")
-        driver = HostDriver()
-        with pytest.warns(RuntimeWarning, match="REPRO_MEASURE_WORKERS"):
-            assert driver._resolve_workers(None) == 0
-
-    def test_negative_measure_workers_clamp_to_zero(self, monkeypatch):
-        from repro.driver.harness import HostDriver
-
-        monkeypatch.setenv("REPRO_MEASURE_WORKERS", "-3")
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            assert HostDriver()._resolve_workers(None) == 0
-
     def test_malformed_bench_scale_falls_back_to_quick(self, monkeypatch):
         from repro.envutil import env_choice
 
@@ -529,14 +511,13 @@ class TestEnvHardeningRegression:
         assert default_store_directory() == str(tmp_path / "fresh")
 
     def test_preprocess_cache_dir_pointing_at_a_file_is_ignored(self, tmp_path, monkeypatch):
-        from repro.preprocess.cache import default_cache_directory
+        from repro.preprocess.cache import GLOBAL_PREPROCESS_CACHE, resolve_cache
 
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("x")
-        monkeypatch.delenv("REPRO_PREPROCESS_CACHE_DIR", raising=False)
         monkeypatch.setenv("REPRO_STORE_DIR", str(not_a_dir))
         with pytest.warns(RuntimeWarning, match="REPRO_STORE_DIR"):
-            assert default_cache_directory() is None
+            assert resolve_cache() is GLOBAL_PREPROCESS_CACHE
 
     def test_malformed_shard_plan_env_is_unsharded(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "many")
@@ -544,9 +525,23 @@ class TestEnvHardeningRegression:
         with pytest.warns(RuntimeWarning):
             assert plan_from_env() == ShardPlan(shards=1, workers=0)
 
-    def test_malformed_preprocess_jobs_fall_back_to_one(self, monkeypatch):
-        from repro.preprocess.pipeline import _default_jobs
 
-        monkeypatch.setenv("REPRO_PREPROCESS_JOBS", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_PREPROCESS_JOBS"):
-            assert _default_jobs() == 1
+class TestKnobTable:
+    """ARCHITECTURE's "Cache environment variables" table lists exactly the
+    ``REPRO_*`` knobs that the program, its scripts and its benchmarks read."""
+
+    def test_table_matches_code(self):
+        root = Path(__file__).resolve().parent.parent
+        knob = re.compile(r"REPRO_[A-Z][A-Z_]+")
+        in_code = {
+            name
+            for directory in ("src", "scripts", "benchmarks")
+            for path in (root / directory).rglob("*")
+            if path.suffix in (".py", ".sh")
+            for name in knob.findall(path.read_text())
+        }
+        architecture = (root / "ARCHITECTURE.md").read_text()
+        section = architecture.split("\n## Cache environment variables\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        in_table = set(re.findall(r"^\| `(REPRO_[A-Z][A-Z_]+)`", section, re.MULTILINE))
+        assert in_code == in_table

@@ -6,8 +6,8 @@ to the generic lockstep tier on every kernel it accepts: identical buffer
 contents and identical :class:`ExecutionStats`.  These tests check the
 invariant property-style over uniform-control and affine-subscript kernel
 families, over the archetype generator's realistic corpus, and through
-the engine router (including the ``REPRO_SPECIALIZE`` opt-out and the
-lane-arena reuse contract).
+the engine router (including the generic ``engine="vectorized"`` probe and
+the lane-arena reuse contract).
 """
 
 from __future__ import annotations
@@ -219,7 +219,8 @@ class TestArchetypeDifferential:
 
 
 class TestRouterAndOptOut:
-    """run_kernel's specialized → generic → closure lattice and the knob."""
+    """run_kernel's specialized → generic → closure lattice, and the generic
+    tier that ``engine="vectorized"`` opts into."""
 
     SOURCE = """
     __kernel void k(__global float* a, __global float* b) {
@@ -234,11 +235,14 @@ class TestRouterAndOptOut:
 
     def test_auto_engine_uses_specialized_tier(self):
         unit, payload = self._payloads()
-        before = VECTORIZER_STATS.executions
         specialized = specialized_kernel_for(unit)
         assert specialized is not None
-        run_kernel(unit, payload.pool, payload.scalar_args, payload.ndrange)
-        assert VECTORIZER_STATS.executions > before
+        # engine="vectorized" keeps the generic lockstep tier covered too.
+        for engine in ("auto", "vectorized"):
+            before = VECTORIZER_STATS.executions
+            run = payload.clone()
+            run_kernel(unit, run.pool, run.scalar_args, run.ndrange, engine=engine)
+            assert VECTORIZER_STATS.executions > before, engine
 
     def test_specialized_and_generic_artifacts_coexist(self):
         unit, _ = self._payloads()
@@ -249,22 +253,22 @@ class TestRouterAndOptOut:
         assert specialized is not generic
         assert specialized._spec is not None and generic._spec is None
 
-    def test_repro_specialize_opt_out(self, monkeypatch):
+    def test_vectorized_engine_matches_auto(self):
         unit, payload = self._payloads()
-        payload_off = payload.clone()
-        result_on = run_kernel(unit, payload.pool, payload.scalar_args, payload.ndrange)
+        payload_generic = payload.clone()
+        result_auto = run_kernel(unit, payload.pool, payload.scalar_args, payload.ndrange)
 
-        monkeypatch.setenv("REPRO_SPECIALIZE", "0")
         built_before = VECTORIZER_STATS.kernels_specialized
-        result_off = run_kernel(
-            unit, payload_off.pool, payload_off.scalar_args, payload_off.ndrange
+        result_generic = run_kernel(
+            unit, payload_generic.pool, payload_generic.scalar_args, payload_generic.ndrange,
+            engine="vectorized",
         )
-        # The opt-out must reproduce generic behaviour exactly and must not
-        # build (or run) any new specialized artifact.
+        # The generic tier must reproduce the specialized run exactly and
+        # must not build (or run) any new specialized artifact.
         assert VECTORIZER_STATS.kernels_specialized == built_before
-        assert dataclasses.asdict(result_off.stats) == dataclasses.asdict(result_on.stats)
+        assert dataclasses.asdict(result_generic.stats) == dataclasses.asdict(result_auto.stats)
         for name, buffer in payload.pool.buffers.items():
-            assert payload_off.pool.buffers[name].to_list() == buffer.to_list()
+            assert payload_generic.pool.buffers[name].to_list() == buffer.to_list()
 
     def test_forced_vectorized_engine_stays_generic(self):
         """engine="vectorized" is the differential tests' probe of the
