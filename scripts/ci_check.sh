@@ -6,8 +6,10 @@
 #   CHAOS=1 scripts/ci_check.sh    # + the -m chaos soak: the fault menu
 #                                  #   over real worker processes
 #   LINT=1 scripts/ci_check.sh     # + the static-analyzer soundness leg:
-#                                  #   lints every suite kernel and
-#                                  #   cross-checks static vs dynamic
+#                                  #   lints every suite kernel,
+#                                  #   cross-checks static vs dynamic, and
+#                                  #   runs the four-way engine differential
+#                                  #   (71 suite + 500 synthesized kernels)
 #   PERFGATE=1 scripts/ci_check.sh # + the -m perfgate timed run against
 #                                  #   the committed BENCH snapshot
 #
@@ -31,11 +33,15 @@ if [[ "${CHAOS:-0}" != "0" ]]; then
 fi
 
 if [[ "${LINT:-0}" != "0" ]]; then
-    echo "== lint: suite verdicts + static-vs-dynamic soundness cross-check =="
+    echo "== lint: suite verdicts, static-vs-dynamic soundness, four-way differential =="
     python -m repro lint
     # The soundness gate: a "safe" verdict for a kernel that dynamically
     # bails is a hard failure (exit 1); precision misses only print.
     python -m repro lint --soundness
+    # The hazard-free fact has no dynamic guard: the specialized lockstep
+    # tier trusts it, so hold interpreter, closure, generic and specialized
+    # lockstep bit-identical on every suite kernel and 500 synthesized ones.
+    python scripts/verify_specialization.py --count 500
 fi
 
 if [[ "${PERFGATE:-0}" != "0" ]]; then

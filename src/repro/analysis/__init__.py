@@ -70,7 +70,6 @@ class AnalysisStats:
     def __init__(self):
         self.kernels_analyzed = 0
         self.routed_skips = 0
-        self.last_classification: str = ""
 
     def reset(self) -> None:
         self.__init__()
@@ -106,7 +105,6 @@ def analyze_kernel(unit, kernel_name: str | None = None) -> KernelVerdict:
             ),
         )
     ANALYSIS_STATS.kernels_analyzed += 1
-    ANALYSIS_STATS.last_classification = verdict.classification.value
     return verdict
 
 

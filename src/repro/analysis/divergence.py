@@ -86,10 +86,6 @@ class KernelFacts:
     flags: set[str] = field(default_factory=set)
     #: Worst-case interpreter steps per work item (``inf`` = unbounded).
     step_estimate: float = 0.0
-    #: Join of every branch/loop/switch condition's divergence anywhere in
-    #: the kernel (helpers included).  ``<= UNIFORM`` proves all control
-    #: flow is lane-uniform — the gate for mask-elided specialization.
-    control_ceiling: Div = Div.BOTTOM
     #: Buffer name -> address space, for every shared buffer seen.
     buffer_spaces: dict[str, str] = field(default_factory=dict)
     #: Final abstract environment of the kernel body.
@@ -295,11 +291,6 @@ class _FunctionAnalyzer:
     def flag(self, name: str) -> None:
         self.facts.flags.add(name)
 
-    def note_control(self, div: Div) -> None:
-        """Fold one branch condition into the kernel's control ceiling."""
-        if self.recording:
-            self.facts.control_ceiling = join(self.facts.control_ceiling, div)
-
     @property
     def control_div(self) -> Div:
         return join(self.extra_control, self.return_taint, *self.control)
@@ -475,7 +466,6 @@ class _FunctionAnalyzer:
 
     def _if(self, stmt: ast.IfStmt) -> None:
         condition = self.eval(stmt.condition)
-        self.note_control(condition.div)
         self.control.append(condition.div)
         if condition.div <= Div.UNIFORM:
             # Lane-uniform guard: the branch runs all-or-nothing depending
@@ -496,7 +486,6 @@ class _FunctionAnalyzer:
 
     def _switch(self, stmt: ast.SwitchStmt) -> None:
         condition = self.eval(stmt.condition)
-        self.note_control(condition.div)
         self.control.append(condition.div)
         if condition.div <= Div.UNIFORM:
             self.guard_depth += 1
@@ -564,7 +553,6 @@ class _FunctionAnalyzer:
         condition_div = Div.UNIFORM
         if condition is not None:
             condition_div = self.eval(condition).div
-        self.note_control(condition_div)
         self.control.append(condition_div)
         saved_extra = self.extra_control
         self.statement(body)

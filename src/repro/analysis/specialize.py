@@ -2,46 +2,27 @@
 
 The classifier's :class:`~repro.analysis.classify.KernelVerdict` answers a
 *routing* question — which engine should run this kernel.  This module
-answers a *code-generation* question: which of the vectorizer's analyzer-
-guided fast paths are sound for it.  The facts are derived once per kernel
-inside :func:`repro.analysis.classify.classify` and ride along on the
-verdict, so the compilation cache can hand them to
-``try_vectorize(..., specialization=...)`` without re-running any pass.
+answers a *code-generation* question: which analyzer-guided fast path is
+sound for it.  The facts are derived once per kernel inside
+:func:`repro.analysis.classify.classify` and ride along on the verdict, so
+the compilation cache can build ``VectorizedKernel(..., specialization=facts)``
+without re-running any pass.
 
-Three independent facts gate three fast paths:
-
-``uniform_control``
-    Every branch/loop/switch condition in the kernel (helpers included)
-    joined to ``<= UNIFORM`` — no lane can ever diverge from the others,
-    so the vectorizer may drop the divergence-mask machinery and compile
-    scalar-condition control flow (*mask elision*).  The specialized
-    engine still guards the claim dynamically: a condition that evaluates
-    to a lane array at runtime raises ``LockstepBailout`` and execution
-    falls back to the generic tier, bit-identically.
+One fact gates the one fast path:
 
 ``hazard_free``
     Buffers for which the race pass emitted no hazard site.  Their
     ``LockstepBuffer`` views skip per-cell writer/reader tracking — the
     tracking exists only to *detect* the hazards the pass just proved
-    absent.
-
-``affine_streams``
-    Buffers whose every access uses an AFFINE subscript (injective per
-    lane) with one single canonical form shared across all sites.  Each
-    lane touches exactly one cell and lanes form an arithmetic
-    progression, so masked gather/scatter collapses to a strided slice.
-    The stride claim is re-checked dynamically (a full vectorized
-    equality against ``i0 + stride * lane``, cheaper than the clamped
-    gather it replaces); a mismatch bails out to the generic tier.
+    absent.  Unlike a dynamic bailout, nothing re-checks this claim at
+    runtime; the four-way differential (``scripts/verify_specialization.py``)
+    holds it against the interpreter.
 
 ``eligible`` requires the SAFE classification: SAFE supplies the
-no-bailout obligations every fast path leans on (no barriers, no local
-memory — hence never group-sequential mode — no atomics or pointer
-tricks, no cross-lane hazards, bounded steps).  Uniform control is *not*
-required: a SAFE-but-divergent kernel (the ubiquitous ``if (gid < n)``
-bounds guard) still profits from hazard-tracking elision and strided
-affine access; only the mask-elision paths additionally key off
-``uniform_control``.
+no-bailout obligations the fast path leans on (no barriers, no local
+memory — hence never group-sequential mode — no atomics or pointer tricks,
+no cross-lane hazards, bounded steps).  A SAFE-but-divergent kernel (the
+ubiquitous ``if (gid < n)`` bounds guard) is eligible too.
 """
 
 from __future__ import annotations
@@ -49,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.divergence import KernelFacts
-from repro.analysis.lattice import Div
 from repro.analysis.passes import RaceSite
 
 
@@ -60,19 +40,13 @@ class SpecializationFacts:
     kernel_name: str
     #: Build a specialized artifact at all (requires SAFE).
     eligible: bool = False
-    #: All control flow proven lane-uniform (mask elision is sound).
-    uniform_control: bool = False
     #: Buffers with no hazard site — skip writer/reader tracking.
     hazard_free: frozenset[str] = field(default_factory=frozenset)
-    #: Buffers whose accesses are all single-form AFFINE — strided views.
-    affine_streams: frozenset[str] = field(default_factory=frozenset)
 
     def to_dict(self) -> dict:
         return {
             "eligible": self.eligible,
-            "uniform_control": self.uniform_control,
             "hazard_free": sorted(self.hazard_free),
-            "affine_streams": sorted(self.affine_streams),
         }
 
 
@@ -81,37 +55,14 @@ def derive_specialization(
 ) -> SpecializationFacts:
     """Distill *facts* (+ the race pass's output) into specialization gates.
 
-    ``safe`` is the classifier's SAFE determination; the fast paths lean on
+    ``safe`` is the classifier's SAFE determination; the fast path leans on
     its obligations (see the module docstring) rather than re-deriving them.
     """
-    uniform_control = facts.control_ceiling <= Div.UNIFORM
-
     racy = {site.buffer for site in races}
-    hazard_free = frozenset(
-        buffer for buffer in facts.buffer_spaces if buffer not in racy
-    )
-
-    affine: set[str] = set()
-    for buffer, space in facts.buffer_spaces.items():
-        if space != "global":
-            continue
-        sites = facts.accesses_for(buffer)
-        if not sites:
-            continue
-        forms = {site.index_form for site in sites}
-        if (
-            all(site.index_div == Div.AFFINE for site in sites)
-            and len(forms) == 1
-            and None not in forms
-            and all(site.loop_depth == 0 for site in sites)
-            and all(site.atomic_op is None for site in sites)
-        ):
-            affine.add(buffer)
-
     return SpecializationFacts(
         kernel_name=facts.kernel_name,
         eligible=safe,
-        uniform_control=uniform_control,
-        hazard_free=hazard_free,
-        affine_streams=frozenset(affine),
+        hazard_free=frozenset(
+            buffer for buffer in facts.buffer_spaces if buffer not in racy
+        ),
     )

@@ -25,7 +25,6 @@ from repro.errors import CompileError, ExecutionError, KernelTimeoutError
 from repro.execution.cache import cached_compile_source, run_kernel
 from repro.execution.device import KernelProfile, Platform, all_platforms
 from repro.execution.interpreter import ExecutionStats
-from repro.execution.memory import LaneArena
 from repro.preprocess.shim import shim_include_resolver, with_shim
 
 
@@ -97,8 +96,9 @@ class DriverConfig:
     run_dynamic_check: bool = False
     #: Execution engine: "auto" (default) runs vectorizable kernels on the
     #: lockstep SIMT tier and everything else (plus dynamic bailouts) on the
-    #: closure engine; "compiled" forces the closure engine; "interpreter"
-    #: forces the legacy tree walker.
+    #: closure engine; "vectorized" attempts the generic lockstep tier
+    #: without static routing; "compiled" forces the closure engine;
+    #: "interpreter" forces the legacy tree walker.
     engine: str = "auto"
     #: Standard deviation of the multiplicative log-normal measurement noise
     #: applied to every runtime estimate.  Real systems are noisy (the paper
@@ -145,10 +145,6 @@ class HostDriver:
         #: (source sha1, kernel name) -> _ExecutionRecord | None (None caches
         #: a compile/execution failure so it is not retried per dataset).
         self._execution_cache: dict[tuple[str, str | None], _ExecutionRecord | None] = {}
-        #: Lane-buffer arena shared by every execution on this driver: the
-        #: lockstep tier recycles its per-launch NumPy allocations through
-        #: it instead of re-allocating per kernel.
-        self._arena = LaneArena()
         #: Payload generation is configured once per driver; the generator
         #: itself is stateless across ``generate`` calls (each draws from a
         #: fresh seeded RNG), so one instance serves the whole batch.
@@ -269,7 +265,6 @@ class HostDriver:
                 kernel_name=kernel.name,
                 max_steps_per_item=self.config.max_steps_per_item,
                 engine=self.config.engine,
-                arena=self._arena,
             )
         except (KernelTimeoutError, ExecutionError):
             return None
@@ -328,9 +323,12 @@ class HostDriver:
     ) -> list[KernelMeasurement]:
         """Measure several kernels, silently skipping failures.
 
-        The per-measurement fixed costs (payload generator, lane arena,
-        unscaled profile) live on the driver, shared across the batch.
-        Parallel measurement shards the execute stage (see
+        The per-measurement fixed costs (payload generator, execution
+        records, unscaled profiles) live on the driver, shared across the
+        batch; each kernel's engine artifacts come from the process-wide
+        compilation cache, and ``run_kernel`` makes at most one lockstep
+        attempt per launch before the closure fallback.  Parallel
+        measurement shards the execute stage (see
         :mod:`repro.store.shards`).
         """
         measurements = []

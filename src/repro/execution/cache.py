@@ -55,16 +55,20 @@ SOURCE_CACHE_ENTRIES = 4096
 class CompilationCache:
     """Bounded, thread-safe cache of compiled kernel artifacts.
 
-    Four artifact kinds share the cache structure: ``"closure"`` (the
-    :class:`CompiledKernel` engine), ``"vectorized"`` (the lockstep
-    :class:`VectorizedKernel` tier, where a *not vectorizable* verdict is
-    cached too, so rejected kernels are analysed at most once),
-    ``"vectorized-specialized"`` (the analyzer-guided specialized lockstep
-    instance, cached beside — never instead of — the generic one, so
-    ``engine="vectorized"`` and misprediction fallback always find the
-    generic artifact under its unchanged key), and ``"analysis"`` (the
-    static analyzer's :class:`~repro.analysis.KernelVerdict`, consulted by
-    the engine router before each lockstep attempt).
+    Four artifact kinds share the cache structure:
+
+    * ``"closure"`` — the :class:`CompiledKernel` engine;
+    * ``"vectorized"`` — the generic lockstep :class:`VectorizedKernel`;
+    * ``"vectorized-specialized"`` — the lockstep instance built with the
+      analyzer's ``hazard_free`` fact, for SAFE kernels only;
+    * ``"analysis"`` — the static analyzer's
+      :class:`~repro.analysis.KernelVerdict`, consulted by the engine router
+      before each lockstep attempt.
+
+    Both lockstep kinds cache a *not vectorizable* (or not eligible) verdict
+    too, so such kernels are analysed at most once.  ``run_kernel`` builds
+    the generic instance only for kernels without a specialized one, and
+    ``engine="vectorized"`` always finds it under its own key.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -259,9 +263,10 @@ def specialized_kernel_for(
     """Fetch (or build) the analyzer-specialized lockstep artifact.
 
     ``None`` when the kernel is not eligible — the analyzer did not prove it
-    SAFE with uniform control — in which case the caller runs the generic
-    lockstep tier.  The specialized instance is cached under its own
-    artifact kind, beside (never instead of) the generic one.
+    SAFE — in which case the caller runs the generic lockstep tier.  The
+    instance skips hazard tracking on the buffers the race pass proved
+    hazard-free; it is cached under its own artifact kind, beside the
+    generic one.
     """
     artifact = GLOBAL_COMPILATION_CACHE.get(
         unit, kernel_name, max_steps_per_item, artifact="vectorized-specialized"
@@ -351,30 +356,25 @@ def run_kernel(
     kernel_name: str | None = None,
     max_steps_per_item: int = 50_000,
     engine: str = "auto",
-    arena=None,
 ) -> ExecutionResult:
     """Execute *kernel_name* (or the first kernel) of *unit*.
 
     Engines:
 
-    * ``"auto"`` (default) — the vectorized lockstep tier when the kernel is
-      in the vectorizable subset, transparently falling back to the closure
-      engine on a :class:`~repro.errors.LockstepBailout` (the pool is
-      untouched at bailout, so the fallback is exact); the closure engine
-      otherwise.  Before attempting lockstep, the static analyzer's cached
-      verdict is consulted: kernels it proves bailout-certain skip straight
-      to the closure engine, and kernels it proves SAFE with uniform
-      control run the analyzer-specialized lockstep instance first.  The
-      fallback lattice is specialized → generic lockstep → closure; every
-      tier is bit-identical.
-    * ``"vectorized"`` — like ``"auto"`` but always attempts the *generic*
-      lockstep tier, ignoring the static verdict (and the specializer): the
-      unrouted, unspecialized probe the differential tests compare against.
+    * ``"auto"`` (default) — a two-rung lattice, lockstep then closure.
+      Kernels the static analyzer proves bailout-certain skip straight to
+      the closure engine.  Every other kernel makes one lockstep attempt:
+      the specialized instance when the analyzer proved the kernel SAFE,
+      the generic one otherwise, and none when it is outside the
+      vectorizable subset.  A :class:`~repro.errors.LockstepBailout` falls
+      back to the closure engine; the pool is untouched at bailout, so the
+      fallback is exact.  Both rungs are bit-identical.
+    * ``"vectorized"`` — always attempts the *generic* lockstep tier,
+      ignoring the static verdict and the specialized instance, with the
+      same closure fallback: the unrouted probe the differential tests
+      compare against.
     * ``"compiled"`` — the closure engine only.
     * ``"interpreter"`` — the legacy tree walker (differential tests).
-
-    *arena* is an optional :class:`~repro.execution.memory.LaneArena` the
-    lockstep tiers recycle their scratch NumPy allocations through.
 
     Every engine raises :class:`~repro.errors.KernelRuntimeError` for a
     kernel whose arithmetic overflows a Python float (e.g. an unbounded
@@ -385,29 +385,23 @@ def run_kernel(
         if engine == "interpreter":
             interpreter = KernelInterpreter(unit, kernel_name, max_steps_per_item)
             return interpreter.execute(pool, scalar_args, ndrange)
-        if engine in ("auto", "vectorized"):
-            attempt = True
-            if engine == "auto":
-                verdict = analysis_verdict_for(unit, kernel_name)
-                if getattr(verdict, "skip_vectorization", False):
-                    from repro.analysis import ANALYSIS_STATS
+        lockstep = None
+        if engine == "vectorized":
+            lockstep = vectorized_kernel_for(unit, kernel_name, max_steps_per_item)
+        elif engine == "auto":
+            if getattr(analysis_verdict_for(unit, kernel_name), "skip_vectorization", False):
+                from repro.analysis import ANALYSIS_STATS
 
-                    ANALYSIS_STATS.routed_skips += 1
-                    attempt = False
-            if attempt:
-                if engine == "auto":
-                    specialized = specialized_kernel_for(unit, kernel_name, max_steps_per_item)
-                    if specialized is not None:
-                        try:
-                            return specialized.execute(pool, scalar_args, ndrange, arena)
-                        except LockstepBailout:
-                            pass  # misprediction: re-run on the generic tier
-                vectorized = vectorized_kernel_for(unit, kernel_name, max_steps_per_item)
-                if vectorized is not None:
-                    try:
-                        return vectorized.execute(pool, scalar_args, ndrange, arena)
-                    except LockstepBailout:
-                        pass
+                ANALYSIS_STATS.routed_skips += 1
+            else:
+                lockstep = specialized_kernel_for(unit, kernel_name, max_steps_per_item)
+                if lockstep is None:
+                    lockstep = vectorized_kernel_for(unit, kernel_name, max_steps_per_item)
+        if lockstep is not None:
+            try:
+                return lockstep.execute(pool, scalar_args, ndrange)
+            except LockstepBailout:
+                pass
         compiled = compiled_kernel_for(unit, kernel_name, max_steps_per_item)
         return compiled.execute(pool, scalar_args, ndrange)
     except OverflowError as error:

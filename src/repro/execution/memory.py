@@ -180,40 +180,6 @@ class Buffer:
         )
 
 
-class LaneArena:
-    """A free-list pool of lane-sized NumPy scratch arrays.
-
-    The lockstep tier allocates a handful of ``(size,)`` float64/int64
-    arrays per kernel execution (buffer images, hazard trackers); across a
-    measurement batch the same shapes recur thousands of times.  The host
-    driver owns one arena and threads it through ``run_kernel`` so those
-    allocations are recycled instead of re-malloc'd.
-
-    Contract: :meth:`take` returns an *uninitialised* array — every caller
-    must fully overwrite it before reading, which is what makes reuse
-    leak-free across measurements (verified by the arena-reuse tests).
-    """
-
-    __slots__ = ("_free", "_cap")
-
-    def __init__(self, max_entries_per_key: int = 16):
-        self._free: dict[tuple[int, str], list[np.ndarray]] = {}
-        self._cap = max_entries_per_key
-
-    def take(self, size: int, dtype) -> np.ndarray:
-        stack = self._free.get((size, np.dtype(dtype).char))
-        if stack:
-            return stack.pop()
-        return np.empty(size, dtype=dtype)
-
-    def release(self, array: np.ndarray | None) -> None:
-        if array is None or array.ndim != 1 or array.base is not None:
-            return
-        stack = self._free.setdefault((array.size, array.dtype.char), [])
-        if len(stack) < self._cap:
-            stack.append(array)
-
-
 class LockstepBuffer:
     """A NumPy view of one :class:`Buffer` for the vectorized (SIMT) tier.
 
@@ -247,17 +213,10 @@ class LockstepBuffer:
     __slots__ = (
         "source", "name", "size", "element_kind", "is_float", "address_space",
         "data", "writer", "reader_max", "reads", "writes", "out_of_bounds",
-        "track_hazards", "affine", "_arena",
+        "track_hazards",
     )
 
-    def __init__(
-        self,
-        source: Buffer,
-        *,
-        track_hazards: bool = True,
-        affine: bool = False,
-        arena: LaneArena | None = None,
-    ):
+    def __init__(self, source: Buffer, *, track_hazards: bool = True):
         if source.vector_width > 1:
             raise LockstepBailout("vector-element buffers are not lockstep-executable")
         if source.strict:
@@ -268,24 +227,18 @@ class LockstepBuffer:
         self.element_kind = source.element_kind
         self.is_float = source.element_kind in ("float", "double", "half")
         self.address_space = source.address_space
-        # The affine strided paths skip hazard bookkeeping entirely, so they
-        # are only sound on buffers the race pass proved hazard-free.
+        #: False for buffers the race pass proved hazard-free: the trackers
+        #: below exist only to detect the hazards that proof rules out.
         self.track_hazards = track_hazards
-        self.affine = affine and not track_hazards
-        self._arena = arena
-        dtype = np.float64 if self.is_float else np.int64
         try:
             # Scalar buffers hold plain floats/ints (vector elements bailed
-            # above), so filling from ``_data`` directly is bit-identical to
-            # the historical ``to_list()`` round-trip without the copy.
-            if arena is not None:
-                data = arena.take(source.size, dtype)
-                data[:] = source._data
-            else:
-                data = np.array(source._data, dtype=dtype)
+            # above), so ``_data`` converts directly, with no ``to_list()``
+            # copy.
+            self.data = np.array(
+                source._data, dtype=np.float64 if self.is_float else np.int64
+            )
         except (OverflowError, TypeError, ValueError) as error:
             raise LockstepBailout(f"buffer {source.name!r} not int64/float64 representable") from error
-        self.data = data
         self.writer: np.ndarray | None = None  # allocated on first store
         self.reader_max: np.ndarray | None = None  # allocated on first load
         self.reads = 0
@@ -294,22 +247,7 @@ class LockstepBuffer:
 
     def _tracker(self) -> np.ndarray:
         """A fresh ``(size,)`` int64 tracker initialised to -1 (no lane)."""
-        if self._arena is not None:
-            tracker = self._arena.take(self.size, np.int64)
-            tracker.fill(-1)
-            return tracker
         return np.full(self.size, -1, dtype=np.int64)
-
-    def recycle(self) -> None:
-        """Return this view's arrays to the arena (after commit/bailout)."""
-        if self._arena is None:
-            return
-        self._arena.release(self.data)
-        self._arena.release(self.writer)
-        self._arena.release(self.reader_max)
-        self.data = np.empty(0, dtype=self.data.dtype)
-        self.writer = None
-        self.reader_max = None
 
     # ------------------------------------------------------------------
 
@@ -360,12 +298,6 @@ class LockstepBuffer:
                 self._record_read(np.full(readers.size, index, dtype=np.int64), readers)
             value = self.data[index]
             return (kind, float(value) if self.is_float else int(value))
-        if self.affine and mask is None and n > 1:
-            strided = self._strided_cells(index_data, lane_ids, n)
-            if strided is not None:
-                # Must copy: the slice is a view and later stores would
-                # alias; the gather below materialises a fresh array too.
-                return (kind, strided.copy())
         if mask is None:
             clamped = self._clamp(index_data, None)
             if self.size == 0:
@@ -387,30 +319,6 @@ class LockstepBuffer:
         out[mask] = self.data[clamped]
         return (kind, out)
 
-    def _strided_cells(self, index_data: np.ndarray, lane_index: np.ndarray, n: int):
-        """The strided view of ``data`` an AFFINE subscript addresses.
-
-        Returns ``None`` when the access is not expressible as an in-bounds
-        forward stride (zero/negative strides, OOB endpoints) — the caller
-        falls through to the generic gather/scatter, preserving clamping
-        and out-of-bounds accounting exactly.  A subscript that *looks*
-        strided at the endpoints but deviates in between contradicts the
-        analyzer's single-form AFFINE claim: that misprediction raises
-        ``LockstepBailout`` and execution re-runs on the generic tier.
-        """
-        i0 = int(index_data[0])
-        stride = int(index_data[1]) - i0
-        if stride <= 0 or i0 < 0:
-            return None
-        last = i0 + stride * (n - 1)
-        if last >= self.size:
-            return None
-        if not np.array_equal(index_data, i0 + stride * lane_index):
-            raise LockstepBailout(
-                f"affine-subscript misprediction on {self.name!r}"
-            )
-        return self.data[i0 : last + 1 : stride]
-
     def _record_read(self, cells: np.ndarray, readers: np.ndarray) -> None:
         """Check the read against past writers and remember the reader."""
         if self.writer is not None:
@@ -428,16 +336,6 @@ class LockstepBuffer:
         or uniform already coerced to this buffer's element flavour."""
         count = n if mask is None else int(mask.sum())
         self.writes += count
-        if self.affine and mask is None and n > 1 and np.ndim(index_data) == 1:
-            strided = self._strided_cells(index_data, lane_ids, n)
-            if strided is not None:
-                try:
-                    strided[...] = value_data
-                except OverflowError as error:
-                    raise LockstepBailout(
-                        f"stored value exceeds int64 on {self.name!r}"
-                    ) from error
-                return
         if mask is None:
             indices = np.asarray(index_data) if np.ndim(index_data) else np.full(n, int(index_data), dtype=np.int64)
             writers = lane_ids

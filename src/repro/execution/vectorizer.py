@@ -10,14 +10,17 @@ memory pool.
 
 The tier is a *bit-identical* stand-in for the scalar engines — equal
 buffer contents and :class:`ExecutionStats` on every kernel it accepts,
-asserted by the three-way differential test suite.  That guarantee is kept
-structural through three mechanisms:
+asserted by the four-way differential (interpreter, closure, generic
+lockstep, specialized lockstep).  That guarantee is kept structural through
+three mechanisms:
 
-* **Static rejection** (:class:`NotVectorizable`): kernels using atomics,
-  OpenCL vector types, ``vload``/``vstore``, address-of, or recursion
-  compile to ``None`` and run on the closure engine.  These are precisely
-  the constructs whose scheduling or values cannot be reproduced by a
-  lockstep pass.
+* **Static rejection** (:class:`NotVectorizable`): kernels using atomics
+  whose result is used or whose order matters, OpenCL vector types,
+  ``vload``/``vstore``, address-of, or recursion compile to ``None`` and
+  run on the closure engine.  These are precisely the constructs whose
+  scheduling or values cannot be reproduced by a lockstep pass.
+  Result-discarded, order-independent atomics run in lockstep through
+  ``np.ufunc.at``.
 * **Dynamic bailout** (:class:`~repro.errors.LockstepBailout`): cross-lane
   memory hazards, int64 overflow, per-lane int/float type divergence and
   step-budget overruns abort the lockstep pass *before the memory pool is
@@ -26,6 +29,11 @@ structural through three mechanisms:
 * **Exact accounting**: step counts, branch evaluations, divergence sites,
   helper-call and memory-access counters are maintained per lane/mask in
   exactly the places the scalar engines bump them.
+
+The only analyzer fact the tier consumes is ``hazard_free`` (see
+:mod:`repro.analysis.specialize`): buffers the race pass proved free of
+cross-lane hazards skip the per-cell writer/reader bookkeeping.  A generic
+instance is the same compile with no such buffers.
 
 Kernels without barriers or ``__local`` memory run the entire NDRange as
 one lane vector.  Kernels **with** them run in *group-sequential* mode:
@@ -95,13 +103,9 @@ class VectorizerStats:
     """Process-wide counters for engine-selection observability."""
 
     def __init__(self):
-        self.kernels_vectorized = 0
-        self.kernels_rejected = 0
         self.kernels_specialized = 0
         self.executions = 0
         self.bailouts = 0
-        self.last_rejection: str = ""
-        self.last_bailout: str = ""
 
     def reset(self) -> None:
         self.__init__()
@@ -429,10 +433,12 @@ class VectorizedKernel:
         kernels = unit.kernels
         if not kernels:
             raise ExecutionError("translation unit contains no kernels")
-        #: Analyzer-guided fast-path gates (``repro.analysis.specialize.
-        #: SpecializationFacts``) — ``None`` compiles the generic tier.
-        self._spec = specialization
-        self._uniform = bool(specialization is not None and specialization.uniform_control)
+        #: Buffers whose views skip hazard tracking (the ``hazard_free``
+        #: fact of ``repro.analysis.specialize.SpecializationFacts``); empty
+        #: for the generic tier.
+        self._hazard_free = (
+            frozenset() if specialization is None else specialization.hazard_free
+        )
         self._kernel = kernels[0] if kernel_name is None else unit.kernel(kernel_name)
         self._functions = {f.name: f for f in unit.functions if f.body is not None}
         self._max_steps = max_steps_per_item
@@ -483,9 +489,9 @@ class VectorizedKernel:
 
         self._body_fn = self._compile_statement(self._kernel.body)
         if specialization is not None and self._needs_groups:
-            # The specialized premises (flat lane vector, no barrier epochs)
-            # do not hold in group-sequential mode; the analyzer never marks
-            # such kernels eligible, so this is a defensive consistency check.
+            # The race pass's hazard proof assumes one flat lane vector with
+            # no barrier epochs; the analyzer never marks group-sequential
+            # kernels eligible, so this is a defensive consistency check.
             raise NotVectorizable("specialized tier does not run group-sequential kernels")
 
     @property
@@ -505,31 +511,25 @@ class VectorizedKernel:
         pool: MemoryPool,
         scalar_args: dict[str, object],
         ndrange: NDRange,
-        arena=None,
     ) -> ExecutionResult:
         """Run the kernel in lockstep; same contract as the other engines.
 
         Raises :class:`~repro.errors.LockstepBailout` — with the memory pool
         untouched — whenever completing the pass could diverge from the
-        scalar engines; the router falls back to the closure engine (or, for
-        a specialized instance, to the generic lockstep tier first).
-
-        *arena* is an optional :class:`~repro.execution.memory.LaneArena`
-        recycling the per-execution NumPy scratch arrays.
+        scalar engines; the router then falls back to the closure engine.
         """
         if self._disabled:
             raise LockstepBailout("disabled after a prior bailout")
         VECTORIZER_STATS.executions += 1
         try:
             with np.errstate(all="ignore"):
-                return self._execute(pool, scalar_args, ndrange, arena)
-        except LockstepBailout as bailout:
+                return self._execute(pool, scalar_args, ndrange)
+        except LockstepBailout:
             self._disabled = True
             VECTORIZER_STATS.bailouts += 1
-            VECTORIZER_STATS.last_bailout = str(bailout)
             raise
 
-    def _execute(self, pool, scalar_args, ndrange, arena=None) -> ExecutionResult:
+    def _execute(self, pool, scalar_args, ndrange) -> ExecutionResult:
         gids, lids, grpids, group_of, n_groups = _lane_layout(ndrange)
         n = int(group_of.size)
 
@@ -539,38 +539,15 @@ class VectorizedKernel:
 
         globals_env, extra_steps = self._init_globals(stats)
 
-        spec = self._spec
         lockstep_buffers: dict[str, LockstepBuffer] = {}
         for name, buffer in pool.buffers.items():
             if buffer.address_space == "local" and not self._needs_groups:
                 raise LockstepBailout("unexpected __local buffer in lockstep pool")
-            if spec is not None:
-                lockstep_buffers[name] = LockstepBuffer(
-                    buffer,
-                    track_hazards=name not in spec.hazard_free,
-                    affine=name in spec.affine_streams,
-                    arena=arena,
-                )
-            else:
-                lockstep_buffers[name] = LockstepBuffer(buffer, arena=arena)
+            lockstep_buffers[name] = LockstepBuffer(
+                buffer, track_hazards=name not in self._hazard_free
+            )
         views = list(lockstep_buffers.values())
 
-        try:
-            return self._run_lanes(
-                pool, scalar_args, ndrange, stats, globals_env, extra_steps,
-                lockstep_buffers, views, gids, lids, grpids, group_of, n_groups, n,
-            )
-        finally:
-            # Hand the per-execution scratch arrays back to the arena on
-            # every exit — commit() has already copied data out on success,
-            # and bailed-out views are garbage by contract.
-            for view in views:
-                view.recycle()
-
-    def _run_lanes(
-        self, pool, scalar_args, ndrange, stats, globals_env, extra_steps,
-        lockstep_buffers, views, gids, lids, grpids, group_of, n_groups, n,
-    ) -> ExecutionResult:
         base_env: dict = dict(globals_env)
         for name, is_pointer in self._param_plan:
             if is_pointer:
@@ -592,7 +569,6 @@ class VectorizedKernel:
         branch_sites: dict = {}
         total_steps = extra_steps
         last_group_locals: dict = {}
-        flat_groups_with_lanes = None
 
         def prepare(ctx):
             ctx.global_size = ndrange.global_size
@@ -610,8 +586,7 @@ class VectorizedKernel:
             prepare(ctx)
             ctx.gids, ctx.lids, ctx.grpids = gids, lids, grpids
             ctx.group_of = group_of
-            flat_groups_with_lanes = np.bincount(group_of, minlength=n_groups).astype(bool)
-            ctx.groups_with_lanes = flat_groups_with_lanes
+            ctx.groups_with_lanes = np.bincount(group_of, minlength=n_groups).astype(bool)
             ctx.buffer_views = views
             ctx.return_stack.append(_ReturnFrame(n))
             if self._body_fn is not None:
@@ -663,29 +638,14 @@ class VectorizedKernel:
 
         stats.dynamic_operations = total_steps
         collect_memory_stats(stats, pool, group_locals)
-        if self._uniform:
-            # Mask-elided branch sites carry scalar [saw_true, saw_false]
-            # flags; each marked flag stands for the full groups-with-lanes
-            # pattern the generic tier would have OR'd in (masks are always
-            # None under proven-uniform control), so the sums are identical.
-            live_groups = int(flat_groups_with_lanes.sum())
-            stats.branch_sites = sum(
-                live_groups for saw_true, saw_false in branch_sites.values()
-                if saw_true or saw_false
-            )
-            stats.divergent_branch_sites = sum(
-                live_groups for saw_true, saw_false in branch_sites.values()
-                if saw_true and saw_false
-            )
-        else:
-            stats.branch_sites = sum(
-                int((seen_true | seen_false).sum())
-                for seen_true, seen_false in branch_sites.values()
-            )
-            stats.divergent_branch_sites = sum(
-                int((seen_true & seen_false).sum())
-                for seen_true, seen_false in branch_sites.values()
-            )
+        stats.branch_sites = sum(
+            int((seen_true | seen_false).sum())
+            for seen_true, seen_false in branch_sites.values()
+        )
+        stats.divergent_branch_sites = sum(
+            int((seen_true & seen_false).sum())
+            for seen_true, seen_false in branch_sites.values()
+        )
         return ExecutionResult(kernel_name=self._kernel.name, pool=pool, stats=stats)
 
     def _init_globals(self, stats: ExecutionStats) -> tuple[dict, int]:
@@ -935,32 +895,6 @@ class VectorizedKernel:
         site = self._site_count
         self._site_count += 1
 
-        if self._uniform:
-            # Mask elision: the divergence pass proved every condition
-            # lane-uniform, so the outcome must be a scalar bool and the
-            # branch runs whole-lane (mask stays None) with no mask algebra
-            # and no per-group branch-site marking.  An array outcome
-            # contradicts the proof — bail out and rerun the generic tier.
-            def run_uniform(ctx, mask):
-                ctx.bump(mask)
-                outcome = _truthy_of(condition_fn(ctx, mask))
-                ctx.stats.branch_evaluations += mask_count(mask, ctx.n)
-                if not isinstance(outcome, (bool, np.bool_)):
-                    raise LockstepBailout("uniform-control misprediction")
-                flags = ctx.branch_sites.get(site)
-                if flags is None:
-                    flags = [False, False]
-                    ctx.branch_sites[site] = flags
-                if outcome:
-                    flags[0] = True
-                    return then_fn(ctx, mask) if then_fn is not None else mask
-                flags[1] = True
-                if has_else:
-                    return else_fn(ctx, mask) if else_fn is not None else mask
-                return mask
-
-            return run_uniform
-
         def run(ctx, mask):
             ctx.bump(mask)
             outcome = _truthy_of(condition_fn(ctx, mask))
@@ -998,7 +932,6 @@ class VectorizedKernel:
         body_fn = self._compile_statement(statement.body, in_helper)
         self._break_depth -= 1
         self._continue_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1014,8 +947,6 @@ class VectorizedKernel:
                     if condition_fn is not None:
                         outcome = _truthy_of(condition_fn(ctx, live))
                         ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                        if uniform and not isinstance(outcome, (bool, np.bool_)):
-                            raise LockstepBailout("uniform-control misprediction")
                         exited = mask_or(exited, mask_andnot(live, outcome))
                         live = mask_and(live, outcome)
                         if not mask_any(live):
@@ -1039,7 +970,6 @@ class VectorizedKernel:
         body_fn = self._compile_statement(statement.body, in_helper)
         self._break_depth -= 1
         self._continue_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1054,8 +984,6 @@ class VectorizedKernel:
                     ctx.check_budget()
                     outcome = _truthy_of(condition_fn(ctx, live))
                     ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                    if uniform and not isinstance(outcome, (bool, np.bool_)):
-                        raise LockstepBailout("uniform-control misprediction")
                     exited = mask_or(exited, mask_andnot(live, outcome))
                     live = mask_and(live, outcome)
                     if not mask_any(live):
@@ -1077,7 +1005,6 @@ class VectorizedKernel:
         body_fn = self._compile_statement(statement.body, in_helper)
         self._break_depth -= 1
         self._continue_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1097,8 +1024,6 @@ class VectorizedKernel:
                         break
                     outcome = _truthy_of(condition_fn(ctx, live))
                     ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                    if uniform and not isinstance(outcome, (bool, np.bool_)):
-                        raise LockstepBailout("uniform-control misprediction")
                     exited = mask_or(exited, mask_andnot(live, outcome))
                     live = mask_and(live, outcome)
                 return mask_or(exited, break_holder.take())
@@ -1117,7 +1042,6 @@ class VectorizedKernel:
             children = [self._compile_statement(child, in_helper) for child in case.body]
             cases.append((value_fn, [fn for fn in children if fn is not None]))
         self._break_depth -= 1
-        uniform = self._uniform
 
         def run(ctx, mask):
             ctx.bump(mask)
@@ -1135,8 +1059,6 @@ class VectorizedKernel:
                         case_value = value_fn(ctx, pending)
                         equal = _binary_values("==", value, case_value, pending)
                         outcome = _truthy_of(equal)
-                        if uniform and not isinstance(outcome, (bool, np.bool_)):
-                            raise LockstepBailout("uniform-control misprediction")
                         matched = mask_and(pending, outcome)
                         pending = mask_andnot(pending, outcome)
                     else:
@@ -1976,10 +1898,6 @@ def try_vectorize(
     """Compile *unit*'s kernel for the lockstep tier, or ``None`` when the
     kernel is outside the vectorizable subset."""
     try:
-        compiled = VectorizedKernel(unit, kernel_name, max_steps_per_item)
-    except NotVectorizable as reason:
-        VECTORIZER_STATS.kernels_rejected += 1
-        VECTORIZER_STATS.last_rejection = str(reason)
+        return VectorizedKernel(unit, kernel_name, max_steps_per_item)
+    except NotVectorizable:
         return None
-    VECTORIZER_STATS.kernels_vectorized += 1
-    return compiled

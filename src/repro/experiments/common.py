@@ -24,7 +24,6 @@ bit-identical to an unsharded run (see :mod:`repro.store.shards`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.corpus.corpus import Corpus
@@ -174,8 +173,9 @@ def synthesize_and_measure(
     A *clgen* built by :func:`build_clgen` (or any stage-graph product) is
     recognized by its model fingerprint and resolved through the store.  An
     ad-hoc synthesizer — one whose model does not correspond to *config*,
-    e.g. a test fixture trained on a different corpus — keeps the direct
-    (un-stored) path, since its inputs have no stage fingerprint.
+    e.g. a test fixture trained on a different corpus — raises
+    ``ValueError``: its inputs have no stage fingerprint, so the store
+    could not tell its kernels from those of *config*'s model.
     """
     runner = runner or default_runner()
     # The paper's host driver synthesizes payloads spanning 128B–130MB; the
@@ -185,7 +185,10 @@ def synthesize_and_measure(
     if clgen is not None and (
         getattr(clgen, "stage_model_fingerprint", None) != model_fingerprint(stage_config)
     ):
-        return _synthesize_and_measure_direct(config, data, clgen, stage_config, timings)
+        raise ValueError(
+            "synthesize_and_measure needs the stage-graph synthesizer for its "
+            "config (build_clgen); this clgen's model has a different fingerprint"
+        )
 
     mark = runner.mark()
     result = runner.synthesis(stage_config)
@@ -198,38 +201,6 @@ def synthesize_and_measure(
     data.synthesis = result
     data.synthetic_measurements = measurements
     data.corpus = corpus
-    return data
-
-
-def _synthesize_and_measure_direct(
-    config: ExperimentConfig,
-    data: ExperimentData,
-    clgen: CLgen,
-    stage_config: PipelineConfig,
-    timings: dict[str, float] | None,
-) -> ExperimentData:
-    """The store-less path for synthesizers with no stage fingerprint."""
-    started = time.perf_counter()
-    result = clgen.generate_kernels(
-        stage_config.synthetic_kernel_count,
-        seed=stage_config.sample_seed,
-        max_attempts_per_kernel=stage_config.max_attempts_per_kernel,
-    )
-    _merge_timings(timings, {"sample": time.perf_counter() - started})
-
-    started = time.perf_counter()
-    driver = make_driver(config)
-    scales = stage_config.dataset_scales
-    measurements = driver.measure_many(
-        [kernel.source for kernel in result.kernels],
-        names=[f"clgen.{index}" for index in range(len(result.kernels))],
-        dataset_scales=[scales[index % len(scales)] for index in range(len(result.kernels))],
-    )
-    _merge_timings(timings, {"execute": time.perf_counter() - started})
-
-    data.synthesis = result
-    data.synthetic_measurements = measurements
-    data.corpus = clgen.corpus
     return data
 
 

@@ -260,3 +260,20 @@ class TestLintFilterStage:
         # Kernels that fail to execute are dropped by the driver; the filter
         # must only ever remove doomed rows, never add names.
         assert measured_names <= expected
+
+    def test_every_stored_kind_has_a_schema_version(self, tmp_path):
+        """A kind missing from SCHEMA_VERSIONS is stored at schema 0, where
+        no version bump can ever invalidate it."""
+        from repro.store.artifact_store import ArtifactStore
+        from repro.store.fingerprint import SCHEMA_VERSIONS
+        from repro.store.stages import PipelineRunner
+
+        config = self._config(lint_filter=True)
+        for shards in (1, 3):
+            store = ArtifactStore(directory=tmp_path / f"store-{shards}")
+            runner = PipelineRunner(store=store, shards=shards)
+            runner.suite_measurements(config)
+            runner.synthetic_measurements(config)
+            kinds = set(store.stats().kinds)
+            assert "lint-verdicts" in kinds, shards
+            assert kinds <= set(SCHEMA_VERSIONS), (shards, kinds - set(SCHEMA_VERSIONS))

@@ -108,10 +108,11 @@ class TestDifferentialSuites:
             results_lockstep = _execute(fallback, payload_lockstep)
         _assert_same(results_legacy, results_lockstep, "lockstep-vs-interpreter")
 
-        # Fourth way: the analyzer-specialized lockstep tier, for kernels
-        # the analyzer proves eligible (SAFE + uniform control).  Eligible
-        # kernels carry the never-bails promise, so a bailout here is a
-        # soundness failure, not a fallback.
+        # Fourth way: the analyzer-specialized lockstep tier (hazard
+        # tracking skipped on proven hazard-free buffers), for kernels the
+        # analyzer proves eligible (SAFE).  Eligible kernels carry the
+        # never-bails promise, so a bailout here is a soundness failure,
+        # not a fallback.
         from repro.analysis import analyze_kernel
         from repro.execution.vectorizer import NotVectorizable, VectorizedKernel
 

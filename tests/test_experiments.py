@@ -17,9 +17,10 @@ from repro.experiments import (
     run_figure9,
     run_table1,
     run_turing_test,
-    synthesize_and_measure,
 )
+from repro.experiments.common import make_driver
 from repro.experiments.figure8 import run_figure8
+from repro.store.stages import PipelineConfig
 from repro.suites import suite_summary
 
 
@@ -32,8 +33,29 @@ def config():
 
 @pytest.fixture(scope="module")
 def shared_data(config, clgen):
+    """Suite measurements plus the session clgen's kernels, measured.
+
+    The session clgen is trained on the conftest corpus, not on *config*'s
+    stage graph, so ``synthesize_and_measure`` refuses it; its kernels are
+    generated and measured here with the stage config's count, seed,
+    attempt budget and dataset scales.
+    """
     data = measure_suites(config)
-    return synthesize_and_measure(config, data, clgen=clgen)
+    stage_config = PipelineConfig.from_experiment(config)
+    result = clgen.generate_kernels(
+        stage_config.synthetic_kernel_count,
+        seed=stage_config.sample_seed,
+        max_attempts_per_kernel=stage_config.max_attempts_per_kernel,
+    )
+    scales = stage_config.dataset_scales
+    data.synthesis = result
+    data.synthetic_measurements = make_driver(config).measure_many(
+        [kernel.source for kernel in result.kernels],
+        names=[f"clgen.{index}" for index in range(len(result.kernels))],
+        dataset_scales=[scales[index % len(scales)] for index in range(len(result.kernels))],
+    )
+    data.corpus = clgen.corpus
+    return data
 
 
 class TestFigure2Survey:

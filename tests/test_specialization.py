@@ -1,32 +1,32 @@
-"""Analyzer-guided lockstep specialization: bit-identity and arena tests.
+"""Analyzer-guided lockstep specialization: bit-identity and routing tests.
 
-The specialized tier (mask elision, hazard-tracking elision, affine
-strided access — see ``repro.analysis.specialize``) must be bit-identical
-to the generic lockstep tier on every kernel it accepts: identical buffer
-contents and identical :class:`ExecutionStats`.  These tests check the
-invariant property-style over uniform-control and affine-subscript kernel
-families, over the archetype generator's realistic corpus, and through
-the engine router (including the generic ``engine="vectorized"`` probe and
-the lane-arena reuse contract).
+The specialized tier (hazard-tracking elision on buffers the race pass
+proved hazard-free — see ``repro.analysis.specialize``) must be
+bit-identical to the generic lockstep tier on every kernel it accepts:
+identical buffer contents and identical :class:`ExecutionStats`.  These
+tests check the invariant property-style over uniform-control, divergent,
+affine and negative-stride kernel families, over the archetype generator's
+realistic corpus, and through the engine router (including the generic
+``engine="vectorized"`` probe and the one-lockstep-attempt rule).
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import analyze_kernel
 from repro.corpus import ContentFileGenerator
+from repro.errors import LockstepBailout
+from repro.execution import cache
 from repro.execution.cache import (
     GLOBAL_COMPILATION_CACHE,
     cached_compile_source,
     run_kernel,
     specialized_kernel_for,
 )
-from repro.execution.memory import LaneArena, LockstepBuffer
 from repro.execution.vectorizer import VECTORIZER_STATS, VectorizedKernel, try_vectorize
 from repro.preprocess.shim import shim_include_resolver, with_shim
 
@@ -48,11 +48,8 @@ def _payload_for(unit, kernel_name=None, global_size=32, local_size=8, seed=3):
     return generator.generate(kernel, work_dim=kernel_work_dim(kernel))
 
 
-def _run(engine, payload, arena=None):
-    if arena is not None:
-        result = engine.execute(payload.pool, payload.scalar_args, payload.ndrange, arena)
-    else:
-        result = engine.execute(payload.pool, payload.scalar_args, payload.ndrange)
+def _run(engine, payload):
+    result = engine.execute(payload.pool, payload.scalar_args, payload.ndrange)
     buffers = {name: buf.to_list() for name, buf in payload.pool.buffers.items()}
     return buffers, dataclasses.asdict(result.stats)
 
@@ -76,7 +73,8 @@ def _assert_specialized_matches_generic(source: str, **payload_kwargs):
 
 
 class TestUniformControlBitIdentity:
-    """Mask-elided kernels (proven-uniform control) match the generic tier."""
+    """Hazard elision under uniform and divergent control matches the
+    generic tier."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -104,12 +102,11 @@ class TestUniformControlBitIdentity:
         facts = _assert_specialized_matches_generic(
             source, global_size=global_size, seed=seed
         )
-        assert facts.uniform_control
+        assert facts.hazard_free == {"a", "b"}
 
     def test_uniform_for_and_switch(self):
         # (A ``while`` variant would not be SAFE — the analyzer cannot bound
-        # its trip count — so no specialized kernel ever reaches the
-        # while/do-while uniform guards; they are a defensive net only.)
+        # its trip count — so it never gets a specialized instance.)
         source = """
         __kernel void k(__global int* a, const int n) {
           int gid = get_global_id(0);
@@ -124,11 +121,11 @@ class TestUniformControlBitIdentity:
         }
         """
         facts = _assert_specialized_matches_generic(source)
-        assert facts.uniform_control
+        assert facts.hazard_free == {"a"}
 
     def test_divergent_guard_still_eligible_not_uniform(self):
         """The ubiquitous bounds guard: SAFE, hence eligible, but divergent —
-        the specialized tier keeps generic masking and still matches."""
+        hazard elision under a lane mask still matches."""
         source = """
         __kernel void k(__global float* a, __global float* b, const int n) {
           int gid = get_global_id(0);
@@ -136,11 +133,11 @@ class TestUniformControlBitIdentity:
         }
         """
         facts = _assert_specialized_matches_generic(source)
-        assert not facts.uniform_control
+        assert facts.hazard_free == {"a", "b"}
 
 
 class TestAffineStreamBitIdentity:
-    """Affine strided loads/stores match the generic gather/scatter."""
+    """Hazard elision on affine subscripts matches the generic tier."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -159,12 +156,11 @@ class TestAffineStreamBitIdentity:
         facts = _assert_specialized_matches_generic(
             source, global_size=global_size, seed=seed
         )
-        assert "a" in facts.affine_streams and "b" in facts.affine_streams
+        assert facts.hazard_free == {"a", "b"}
 
     def test_negative_stride_falls_back_to_gather(self):
-        """An affine-but-descending subscript is outside the strided-slice
-        window; the specialized buffer must quietly use the generic path
-        (with its out-of-bounds clamp accounting) and still match."""
+        """An affine-but-descending subscript with out-of-bounds lanes: the
+        untracked gather must keep the clamp accounting and still match."""
         source = """
         __kernel void k(__global float* a, __global float* b, const int n) {
           int gid = get_global_id(0);
@@ -172,20 +168,6 @@ class TestAffineStreamBitIdentity:
         }
         """
         _assert_specialized_matches_generic(source, global_size=16, local_size=8)
-
-    def test_strided_cells_rejects_non_strided_and_out_of_range(self):
-        buffer = LockstepBuffer.__new__(LockstepBuffer)
-        buffer.data = np.arange(8, dtype=np.float64)
-        buffer.name = "a"
-        buffer.size = 8
-        lanes = np.arange(4)
-        assert LockstepBuffer._strided_cells(
-            buffer, np.array([0, 1, 2, 3]), lanes, 4
-        ) is not None
-        # Descending, repeated and overflowing index vectors: generic path.
-        assert LockstepBuffer._strided_cells(buffer, np.array([3, 2, 1, 0]), lanes, 4) is None
-        assert LockstepBuffer._strided_cells(buffer, np.array([2, 2, 2, 2]), lanes, 4) is None
-        assert LockstepBuffer._strided_cells(buffer, np.array([0, 3, 6, 9]), lanes, 4) is None
 
 
 class TestArchetypeDifferential:
@@ -219,8 +201,8 @@ class TestArchetypeDifferential:
 
 
 class TestRouterAndOptOut:
-    """run_kernel's specialized → generic → closure lattice, and the generic
-    tier that ``engine="vectorized"`` opts into."""
+    """run_kernel's lockstep → closure lattice, and the generic tier that
+    ``engine="vectorized"`` opts into."""
 
     SOURCE = """
     __kernel void k(__global float* a, __global float* b) {
@@ -251,7 +233,8 @@ class TestRouterAndOptOut:
         assert specialized is not None
         assert generic is not None
         assert specialized is not generic
-        assert specialized._spec is not None and generic._spec is None
+        assert specialized._hazard_free == {"a", "b"}
+        assert generic._hazard_free == frozenset()
 
     def test_vectorized_engine_matches_auto(self):
         unit, payload = self._payloads()
@@ -282,57 +265,36 @@ class TestRouterAndOptOut:
         )
         assert dataclasses.asdict(result.stats) == reference[1]
 
+    def test_one_lockstep_attempt_per_launch(self, monkeypatch):
+        """A specialized instance that bails falls back straight to the
+        closure engine: the generic lockstep instance is never built or
+        run for that launch."""
+        unit, payload = self._payloads()
+        reference = payload.clone()
+        facts = analyze_kernel(unit, unit.kernels[0].name).specialization
+        bailing = VectorizedKernel(unit, specialization=facts)
 
-class TestLaneArena:
-    def test_take_release_recycles_exact_shape(self):
-        arena = LaneArena()
-        first = arena.take(16, np.float64)
-        assert first.shape == (16,) and first.dtype == np.float64
-        arena.release(first)
-        again = arena.take(16, np.float64)
-        assert again is first
-        # Different shape or dtype never shares a free list.
-        assert arena.take(8, np.float64) is not first
-        assert arena.take(16, np.int64).dtype == np.int64
+        def bail(*args):
+            raise LockstepBailout("forced bailout")
 
-    def test_release_rejects_views_and_caps(self):
-        arena = LaneArena(max_entries_per_key=1)
-        backing = np.zeros(8)
-        arena.release(backing[2:6])  # a view: must not be pooled
-        assert arena.take(4, np.float64).base is None
-        one, two = np.zeros(4), np.zeros(4)
-        arena.release(one)
-        arena.release(two)  # over the cap: dropped
-        assert arena.take(4, np.float64) is one
-        fresh = arena.take(4, np.float64)
-        assert fresh is not two
+        monkeypatch.setattr(bailing, "_execute", bail)
+        monkeypatch.setattr(cache, "specialized_kernel_for", lambda *args: bailing)
+        generic_lookups = []
+        monkeypatch.setattr(
+            cache, "vectorized_kernel_for", lambda *args: generic_lookups.append(args)
+        )
 
-    def test_arena_reuse_leaks_no_state(self):
-        """Interleaved executions through one shared arena must be
-        bit-identical to fresh-arena executions (the take()-returns-
-        uninitialised contract: every consumer fully overwrites)."""
-        source_x = """
-        __kernel void k(__global float* a, __global float* b) {
-          int gid = get_global_id(0);
-          b[gid] = a[gid] * 2.0f;
-        }
-        """
-        source_y = """
-        __kernel void k(__global float* a, __global float* b) {
-          int gid = get_global_id(0);
-          b[gid] = a[gid] - 7.5f;
-        }
-        """
-        unit_x, unit_y = _unit_of(source_x), _unit_of(source_y)
-        payload_x = _payload_for(unit_x)
-        reference = _run(try_vectorize(unit_x), payload_x.clone())
-
-        shared = LaneArena()
-        first = _run(specialized_kernel_for(unit_x), payload_x.clone(), arena=shared)
-        _run(specialized_kernel_for(unit_y), _payload_for(unit_y), arena=shared)
-        second = _run(specialized_kernel_for(unit_x), payload_x.clone(), arena=shared)
-        assert first == reference
-        assert second == reference
+        bailouts = VECTORIZER_STATS.bailouts
+        result = run_kernel(unit, payload.pool, payload.scalar_args, payload.ndrange)
+        expected = run_kernel(
+            unit, reference.pool, reference.scalar_args, reference.ndrange,
+            engine="interpreter",
+        )
+        assert VECTORIZER_STATS.bailouts == bailouts + 1
+        assert generic_lookups == []
+        assert dataclasses.asdict(result.stats) == dataclasses.asdict(expected.stats)
+        for name, buffer in reference.pool.buffers.items():
+            assert payload.pool.buffers[name].to_list() == buffer.to_list()
 
 
 #: Archetype candidates for the seed-fidelity tests below: the shapes the

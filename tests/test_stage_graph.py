@@ -274,9 +274,10 @@ class TestExperimentHarnessIntegration:
             cold_data.suite_measurements
         )
 
-    def test_ad_hoc_synthesizer_bypasses_the_store(self, tmp_path, corpus):
-        """A synthesizer whose model does not match the config keeps the
-        legacy direct path (its inputs have no stage fingerprint)."""
+    def test_ad_hoc_synthesizer_is_refused(self, tmp_path, corpus):
+        """A synthesizer whose model does not match the config has no stage
+        fingerprint, so synthesize_and_measure refuses it rather than
+        sampling and measuring outside the store."""
         from repro.synthesis.generator import CLgen
 
         config = ExperimentConfig(
@@ -290,8 +291,9 @@ class TestExperimentHarnessIntegration:
         runner = PipelineRunner(store=ArtifactStore(directory=tmp_path / "store"))
         data = measure_suites(config, suites=["NPB"], runner=runner)
         mark = runner.mark()
-        data = synthesize_and_measure(config, data, clgen=ad_hoc, runner=runner)
-        # No sample/execute stage events were recorded for the ad-hoc path.
-        assert "sample" not in runner.stage_counts(mark)
-        assert data.synthesis is not None
-        assert data.corpus is corpus
+        with pytest.raises(ValueError, match="fingerprint"):
+            synthesize_and_measure(config, data, clgen=ad_hoc, runner=runner)
+        # Nothing was sampled or measured on the synthetic side.
+        assert runner.stage_counts(mark) == {}
+        assert data.synthesis is None
+        assert data.synthetic_measurements == []
