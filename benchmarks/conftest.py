@@ -20,15 +20,9 @@ fail — sample comparisons spanning a sampling-semantics bump.  See the
 benchmark protocol; ``bench_compare`` also refuses to compare snapshots
 taken at different scales.
 
-Sharding rides along through the default runner: ``REPRO_SHARDS`` /
-``REPRO_WORKERS`` split the data-parallel stages and dispatch them to a
-process pool, and ``REPRO_STEAL`` resolves them through the work-stealing
-claim queue.  The guards below cover those runs too — a merge fed
-entirely by store-warm shards taints its phase exactly like a direct warm
-hit, and any sharded or stealing session (whose phases carry shard/claim
-overhead, aggregate worker seconds under a pool, or queue wait time) is
-refused as a snapshot source: committed snapshots are always cold,
-shard-free, steal-free wall-clock.
+The session fixtures resolve through the default runner, which is always
+unsharded, so committed snapshots are shard-free, steal-free wall-clock;
+the warm-phase guards below keep them cold too.
 
 The ``perfgate`` marker (``-m perfgate``, see ``test_perf_gate.py``) turns
 the comparison against the previous PR's committed snapshot into a CI gate.
@@ -136,22 +130,6 @@ def _warm_phases() -> list[str]:
     return warm_phases(default_runner().events[_RUNNER_MARK:])
 
 
-def _sharded() -> bool:
-    """True when this session's runner resolves stages through shards or
-    the work-stealing queue.
-
-    Such sessions must never become a snapshot or feed the perf gate:
-    pool-computed shards report aggregate worker seconds (up to ~Nx the
-    wall-clock on an N-wide pool), in-process sharding adds its own
-    measurable overhead (~6% at quick scale, ROADMAP PR 4) that would
-    silently eat the gate's 10% headroom, and steal-mode hits time queue
-    *waits* rather than work.  Workers without shards never create a pool,
-    so those timings stay genuine wall-clock.
-    """
-    runner = default_runner()
-    return runner.plan.sharded or runner.plan.steal
-
-
 @pytest.fixture(scope="session")
 def bench_config() -> ExperimentConfig:
     if _bench_scale() == "full":
@@ -203,15 +181,6 @@ def _build_snapshot() -> dict | None:
         print(
             f"bench snapshot skipped: phases {', '.join(warm)} were served "
             "from the artifact store (warm); measure with a cold store",
-            file=sys.stderr,
-        )
-        return None
-    if _sharded():
-        print(
-            "bench snapshot skipped: sharded or work-stealing resolution "
-            "active (REPRO_SHARDS/REPRO_WORKERS/REPRO_STEAL); those phases "
-            "carry shard/claim overhead (pooled ones aggregate worker "
-            "seconds, stealing ones time queue waits) — measure shard-free",
             file=sys.stderr,
         )
         return None

@@ -75,17 +75,6 @@ def test_no_phase_regression_vs_previous_pr(request, tmp_path):
     if baseline.get("scale") != scale:
         pytest.skip(f"scale mismatch: baseline {baseline.get('scale')!r} vs {scale!r}")
 
-    from repro.store import default_runner
-
-    plan = default_runner().plan
-    if plan.sharded or plan.steal:
-        pytest.skip(
-            "sharded or work-stealing resolution active "
-            "(REPRO_SHARDS/REPRO_WORKERS/REPRO_STEAL); those timings carry "
-            "shard/claim overhead (pooled ones aggregate worker seconds) — "
-            "the gate needs shard-free runs"
-        )
-
     # Force the heavy session fixtures only once the gate is actually on.
     timings = request.getfixturevalue("bench_phase_timings")
     warm = request.getfixturevalue("bench_warm_phases")

@@ -38,7 +38,7 @@ from repro.store import PipelineConfig, PipelineRunner, warm_phases
 from repro.store.artifact_store import ArtifactStore
 from repro.store.fingerprint import SCHEMA_VERSIONS
 from repro.store.queue import publish_plan
-from repro.store.shards import resolve_plan
+from repro.store.shards import ShardPlan, resolve_plan
 
 PHASES = ("preprocess", "train", "sample", "execute")
 
@@ -56,29 +56,14 @@ def run_pipeline(
     timings: dict[str, float],
     cache_dir: str | None = None,
     stage_report: list[dict] | None = None,
-    shards: int | None = None,
-    workers: int | None = None,
-    steal: bool = False,
+    plan: ShardPlan | None = None,
 ) -> dict:
     """Run every phase through the stage graph; returns the output counts."""
     stage_config = _stage_config(kernel_count, repository_count)
-    # Same precedence semantics as the repro CLI: explicit flags beat the
-    # REPRO_SHARDS/REPRO_WORKERS/REPRO_STEAL environment, and workers imply
-    # shards only when no shard count was given anywhere.
-    runner = PipelineRunner(
-        cache_dir=cache_dir,
-        plan=resolve_plan(shards, workers, steal=(True if steal else None)),
-    )
+    runner = PipelineRunner(cache_dir=cache_dir, plan=plan)
     if runner.stealing:
         # Publish the plan so concurrently launched `repro worker --store
         # DIR` processes can join this very run and drain its queue.
-        if not runner.plan.sharded:
-            print(
-                "warning: --steal without --shards publishes a single-shard "
-                "plan — joining workers can only claim whole stages; pass "
-                "--shards N for shard-level work sharing",
-                file=sys.stderr,
-            )
         key = publish_plan(runner.store, stage_config, runner.plan.shards)
         print(
             f"plan {key[:12]} published; join with: repro worker --store "
@@ -198,11 +183,11 @@ def main(argv: list[str] | None = None) -> int:
                              "populated store and report per-stage warm timings")
     parser.add_argument("--shards", type=int, default=None,
                         help="split shardable stages into N per-range artifacts "
-                             "(results bit-identical; default: $REPRO_SHARDS, else unsharded)")
+                             "(results bit-identical; default: unsharded)")
     parser.add_argument("--workers", type=int, default=None,
                         help="process-pool width for ready shards; implies --shards M "
-                             "when --shards is not given (default: $REPRO_WORKERS, "
-                             "else in-process)")
+                             "when --shards is not given (default: in-process); "
+                             "not with --steal")
     parser.add_argument("--steal", action="store_true",
                         help="resolve through the work-stealing claim queue (needs "
                              "--cache-dir) and publish the plan so concurrent "
@@ -238,6 +223,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.steal and not args.cache_dir and not os.environ.get("REPRO_STORE_DIR"):
         parser.error("--steal needs an on-disk store; pass --cache-dir "
                      "(or set REPRO_STORE_DIR)")
+    # Same rules as the repro CLI: workers imply shards only when no shard
+    # count was given, and a combination the plan refuses is a usage error.
+    try:
+        plan = resolve_plan(args.shards, args.workers, args.steal)
+    except ValueError as error:
+        parser.error(str(error))
 
     timings: dict[str, float] = {}
     cold_stages: list[dict] = []
@@ -246,9 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         profiler.enable()
         counts = run_pipeline(args.kernels, args.repositories, timings,
                               cache_dir=args.cache_dir,
-                              stage_report=cold_stages,
-                              shards=args.shards, workers=args.workers,
-                              steal=args.steal)
+                              stage_report=cold_stages, plan=plan)
         profiler.disable()
         profiler.dump_stats(args.profile)
         stats = pstats.Stats(profiler)
@@ -257,18 +246,14 @@ def main(argv: list[str] | None = None) -> int:
     else:
         counts = run_pipeline(args.kernels, args.repositories, timings,
                               cache_dir=args.cache_dir,
-                              stage_report=cold_stages,
-                              shards=args.shards, workers=args.workers,
-                              steal=args.steal)
+                              stage_report=cold_stages, plan=plan)
 
     warm_timings: dict[str, float] = {}
     warm_stages: list[dict] = []
     if args.warm:
         run_pipeline(args.kernels, args.repositories, warm_timings,
                      cache_dir=args.cache_dir,
-                     stage_report=warm_stages,
-                     shards=args.shards, workers=args.workers,
-                     steal=args.steal)
+                     stage_report=warm_stages, plan=plan)
 
     total = sum(timings.values())
     if warm_timings:

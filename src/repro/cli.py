@@ -21,8 +21,8 @@ results bit-identical to an unsharded run.  ``--steal`` goes further:
 instead of static ranges, pending work is claimed from a lease-based
 queue in the store, ``repro pipeline --steal`` publishes its plan, and
 any number of ``repro worker --store DIR`` processes join in and drain
-it until the merge fires (``--watch`` keeps a worker resident for plans
-published later).  The shard plan is the only parallelism: without it
+it until the merge fires; those processes, not ``--workers``, give steal
+mode its width.  The shard plan is the only parallelism: without it
 every stage runs in the calling process.
 
 Every sub-command resolves its heavy inputs through the pipeline stage
@@ -45,16 +45,7 @@ from repro.synthesis import CLgen, SamplerConfig
 
 
 def _make_runner(args: argparse.Namespace) -> PipelineRunner:
-    from repro.store.shards import resolve_plan
-
-    return PipelineRunner(
-        cache_dir=getattr(args, "cache_dir", None),
-        plan=resolve_plan(
-            getattr(args, "shards", None),
-            getattr(args, "workers", None),
-            steal=(True if getattr(args, "steal", False) else None),
-        ),
-    )
+    return PipelineRunner(cache_dir=args.cache_dir, plan=args.plan)
 
 
 def _parse_size(text: str) -> int:
@@ -226,16 +217,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         # published plan and drains the same claim queue concurrently.
         from repro.store.queue import publish_plan
 
-        if not runner.plan.sharded:
-            print(
-                "// warning: --steal without --shards publishes a "
-                "single-shard plan — joining workers can only claim whole "
-                "stages; pass --shards N for shard-level work sharing",
-                file=sys.stderr,
-            )
-        key = publish_plan(
-            runner.store, config, runner.plan.shards, priority=args.priority
-        )
+        key = publish_plan(runner.store, config, runner.plan.shards)
         print(f"// plan {key[:12]} published; join with: "
               f"repro worker --store {runner.store.directory}", file=sys.stderr)
     suites = runner.suite_measurements(config)
@@ -294,27 +276,20 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     """Join published pipeline plans and drain their claim queues.
 
     The inverse of ``repro pipeline --steal``: instead of describing work,
-    a worker discovers the plans already published in the store and claims
-    whatever stages/shards are still pending, until every plan is fully
-    resolved.  Any number of workers — across processes and machines
-    sharing the store directory — cooperate through the claim protocol;
-    results are bit-identical to a single-process run.
+    a worker makes one pass over the plans already published in the store
+    and claims whatever stages/shards are still pending, until every plan
+    is fully resolved.  Any number of workers — across processes and
+    machines sharing the store directory — cooperate through the claim
+    protocol; results are bit-identical to a single-process run.
 
     A plan whose shard exhausted its retry budget (``PlanFailed``) does not
     take the worker down: the failure artifact is summarized, the remaining
     plans still drain, and the exit status is non-zero so whoever launched
-    the worker sees the quarantine.  With ``--watch`` the worker stays
-    resident, polling for newly published plans with jittered backoff and
-    draining them as they appear, until SIGTERM (or SIGINT) asks it to
-    finish its current stage and exit cleanly.
+    the worker sees the quarantine.
     """
-    import random
-    import signal
-    import threading
-
     from repro.errors import PlanFailed
     from repro.store import PipelineRunner, resolve_store
-    from repro.store.queue import drain_plan, load_plans, plan_priority
+    from repro.store.queue import drain_plan, load_plans
     from repro.store.shards import ShardPlan
 
     store = resolve_store(args.store)
@@ -325,88 +300,38 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
         return 2
 
-    stop = threading.Event()
-    previous_handlers = {}
-    if args.watch and threading.current_thread() is threading.main_thread():
-        def request_stop(signum, frame):
-            print("// stop requested; finishing current work", file=sys.stderr)
-            stop.set()
+    plans = load_plans(store)
+    if not plans:
+        print(f"no published plans in {store.directory}", file=sys.stderr)
+        return 0
+    failed = 0
+    for key, plan in plans:
+        runner = PipelineRunner(
+            store=store,
+            plan=ShardPlan(shards=plan["shards"], steal=True),
+            lease_seconds=args.lease,
+        )
+        try:
+            drain_plan(runner, plan["config"])
+        except PlanFailed as failure:
+            failed += 1
+            _print_plan_failure(store, key, failure)
+            continue
+        counts = runner.stage_counts()
+        computed = sum(bucket["miss"] for bucket in counts.values())
+        served = sum(bucket["hit"] for bucket in counts.values())
+        print(f"plan {key[:12]}: computed {computed} stage artifacts, "
+              f"{served} served by the store or other workers")
 
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            previous_handlers[signum] = signal.signal(signum, request_stop)
-
-    #: Plan key -> PlanFailed.  A quarantined plan is reported once and
-    #: skipped on re-visits (its failure artifact is permanent until an
-    #: operator clears queue/failures/).
-    failed_plans: dict[str, PlanFailed] = {}
-    drained_keys: set[str] = set()
-    warned_single_shard: set[str] = set()
-    rng = random.Random()
-    poll_seconds = 0.5
-    poll_cap = max(args.poll, 0.5) if args.watch else 0.5
-
-    try:
-        while True:
-            plans = load_plans(store)
-            if not plans and not args.watch:
-                print(f"no published plans in {store.directory}", file=sys.stderr)
-                return 0
-            computed_this_pass = 0
-            for key, plan in plans:
-                if stop.is_set() or key in failed_plans:
-                    continue
-                if plan["shards"] == 1 and args.workers > 1 and key not in warned_single_shard:
-                    warned_single_shard.add(key)
-                    print(
-                        f"warning: plan {key[:12]} was published with a single "
-                        "shard, so --workers has no shard-level work to pool; "
-                        "republish it with --shards N for real fan-out",
-                        file=sys.stderr,
-                    )
-                runner = PipelineRunner(
-                    store=store,
-                    plan=ShardPlan(
-                        shards=plan["shards"], workers=args.workers or 0, steal=True
-                    ),
-                    lease_seconds=args.lease,
-                    priority=plan_priority(plan),
-                )
-                try:
-                    drain_plan(runner, plan["config"])
-                except PlanFailed as failure:
-                    failed_plans[key] = failure
-                    _print_plan_failure(store, key, failure)
-                    continue
-                counts = runner.stage_counts()
-                computed = sum(bucket["miss"] for bucket in counts.values())
-                served = sum(bucket["hit"] for bucket in counts.values())
-                computed_this_pass += computed
-                if key not in drained_keys or computed:
-                    print(f"plan {key[:12]}: computed {computed} stage artifacts, "
-                          f"{served} served by the store or other workers")
-                drained_keys.add(key)
-            if not args.watch or stop.is_set():
-                break
-            # Jittered backoff between polls: idle workers ease off (so many
-            # watchers do not hammer a shared filesystem in lockstep), and
-            # any pass that found real work snaps back to the floor.
-            if computed_this_pass:
-                poll_seconds = 0.5
-            else:
-                poll_seconds = min(poll_seconds * 1.6, poll_cap)
-            stop.wait(poll_seconds * (0.5 + 0.5 * rng.random()))
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
-
-    if failed_plans:
+    drained = len(plans) - failed
+    if failed:
         print(
-            f"drained {len(drained_keys)} plan(s); "
-            f"{len(failed_plans)} plan(s) ended in quarantined shards",
+            f"drained {drained} plan(s); "
+            f"{failed} plan(s) ended in quarantined shards",
             file=sys.stderr,
         )
         return 1
-    print(f"drained {len(drained_keys)} plan(s)")
+    print(f"drained {drained} plan(s)")
     return 0
 
 
@@ -565,14 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="split shardable stages into N per-range artifacts "
-             "(default: $REPRO_SHARDS, else unsharded); results are bit-identical",
+             "(default: unsharded); results are bit-identical",
     )
     common.add_argument(
         "--workers",
         type=int,
         default=None,
         help="process-pool width for ready shards; implies --shards M when "
-             "--shards is not given (default: $REPRO_WORKERS, else in-process)",
+             "--shards is not given (default: in-process); not with --steal",
     )
     common.add_argument(
         "--steal",
@@ -580,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="resolve stages through the work-stealing claim queue (needs "
              "--cache-dir / REPRO_STORE_DIR); concurrent runners and "
-             "`repro worker` processes then drain the same plan "
-             "(default: $REPRO_STEAL, else off)",
+             "`repro worker` processes then drain the same plan",
     )
 
     mine = subparsers.add_parser(
@@ -654,13 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--count", type=int, default=50)
     pipeline.add_argument("--global-size", type=int, default=128)
     pipeline.add_argument("--local-size", type=int, default=32)
-    pipeline.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        help="with --steal, the priority the published plan carries; "
-             "workers drain higher-priority plans first (default: 0)",
-    )
     pipeline.set_defaults(func=_cmd_pipeline)
 
     worker = subparsers.add_parser(
@@ -676,33 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="the shared artifact-store directory (default: $REPRO_STORE_DIR)",
     )
     worker.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="additionally fan this worker's shard draining out over a "
-             "process pool of this width",
-    )
-    worker.add_argument(
         "--lease",
         type=float,
         default=None,
         metavar="SECONDS",
         help="claim lease; a claim older than this is treated as a crashed "
              "worker's and stolen (default: $REPRO_QUEUE_LEASE, else 300)",
-    )
-    worker.add_argument(
-        "--watch",
-        action="store_true",
-        help="stay resident after draining: poll the store for newly "
-             "published plans (jittered backoff) until SIGTERM",
-    )
-    worker.add_argument(
-        "--poll",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="with --watch, the maximum idle-poll interval; backoff starts "
-             "at 0.5s and eases up to this cap (default: 10)",
     )
     worker.set_defaults(func=_cmd_worker)
 
@@ -794,6 +690,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "steal" in vars(args):
+        # Resolve the shard plan with the flags, so a combination the plan
+        # refuses is a usage error before any work starts.
+        from repro.store.shards import resolve_plan
+
+        try:
+            args.plan = resolve_plan(args.shards, args.workers, args.steal)
+        except ValueError as error:
+            parser.error(str(error))
     return args.func(args)
 
 

@@ -1,7 +1,7 @@
 """Hardened parsing of ``REPRO_*`` environment knobs.
 
 Every environment variable the pipeline reads goes through these helpers so
-a malformed value (a typo'd worker count, an unknown bench scale, a store
+a malformed value (a typo'd retry count, an unknown bench scale, a store
 path pointing at a regular file) degrades to the documented default with a
 :class:`RuntimeWarning` instead of crashing the pipeline mid-run or being
 silently misread.
@@ -22,7 +22,7 @@ def env_int(name: str, default: int = 0, minimum: int | None = None) -> int:
     """The integer value of ``$name``, or *default* when unset or malformed.
 
     Values below *minimum* (when given) are clamped up to it, so e.g. a
-    negative worker count reads as "off" rather than crashing a pool.
+    negative retry count reads as "no retries" rather than being misread.
     """
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
@@ -61,20 +61,6 @@ def env_float(name: str, default: float = 0.0, minimum: float | None = None) -> 
         _warn(f"clamping {name}={raw!r} to the minimum of {minimum}")
         return minimum
     return value
-
-
-def env_flag(name: str, default: bool = False) -> bool:
-    """The boolean value of ``$name`` (1/true/yes/on vs 0/false/no/off)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    _warn(f"ignoring malformed {name}={raw!r} (expected a boolean); using {default}")
-    return default
 
 
 def parse_size(text: str) -> int:

@@ -14,12 +14,11 @@ harness against the same ``REPRO_STORE_DIR``) reuse every stage whose
 fingerprint still matches and recompute only downstream of a change.
 
 Every helper takes an optional ``runner=``; without one it falls back to
-:func:`repro.store.stages.default_runner`, whose shard plan comes from the
-``REPRO_SHARDS`` / ``REPRO_WORKERS`` environment knobs — set those (or pass
-a ``PipelineRunner(shards=..., workers=...)``) and the data-parallel stages
-resolve as per-range shard artifacts that a process pool (or several
-machines sharing one ``REPRO_STORE_DIR``) fills concurrently, with results
-bit-identical to an unsharded run (see :mod:`repro.store.shards`).
+:func:`repro.store.stages.default_runner`, which is unsharded.  Pass a
+``PipelineRunner(shards=..., workers=...)`` and the data-parallel stages
+resolve as per-range shard artifacts that a process pool fills
+concurrently, with results bit-identical to an unsharded run (see
+:mod:`repro.store.shards`).
 """
 
 from __future__ import annotations
@@ -27,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.corpus.corpus import Corpus
-from repro.driver.harness import DriverConfig, HostDriver, KernelMeasurement
+from repro.driver.harness import KernelMeasurement
 from repro.store.stages import (
     PipelineConfig,
     PipelineRunner,
     default_runner,
     model_fingerprint,
 )
-from repro.suites.registry import Benchmark
 from repro.synthesis.generator import CLgen, SynthesisResult
 
 
@@ -88,21 +86,6 @@ class ExperimentData:
         for measurements in self.suite_measurements.values():
             out.extend(measurements)
         return out
-
-
-def make_driver(config: ExperimentConfig) -> HostDriver:
-    return HostDriver(
-        config=DriverConfig(
-            executed_global_size=config.executed_global_size,
-            local_size=config.local_size,
-            payload_seed=config.seed,
-        )
-    )
-
-
-def measure_benchmark(driver: HostDriver, benchmark: Benchmark) -> list[KernelMeasurement]:
-    """Measure one benchmark across all of its datasets."""
-    return driver.measure_benchmark(benchmark)
 
 
 def _merge_timings(timings: dict[str, float] | None, phases: dict[str, float]) -> None:

@@ -23,11 +23,10 @@ from repro.store.queue import (
     drain_plan,
     load_plans,
     plan_fingerprint,
-    plan_priority,
     publish_plan,
     queue_status,
 )
-from repro.store.shards import ShardPlan, plan_from_env, shard_ranges
+from repro.store.shards import ShardPlan, shard_ranges
 
 #: Stage-graph symbols, loaded lazily (PEP 562): the per-file preprocess
 #: cache imports this package from inside the corpus layer, and the stage
@@ -85,8 +84,6 @@ __all__ = [
     "mine_fingerprint",
     "model_fingerprint",
     "plan_fingerprint",
-    "plan_from_env",
-    "plan_priority",
     "publish_plan",
     "queue_status",
     "resolve_store",

@@ -64,6 +64,7 @@ import socket
 import threading
 import time
 import traceback
+import warnings
 from pathlib import Path
 
 from repro.envutil import env_float, env_int
@@ -447,27 +448,10 @@ class ShardQueue:
         digest = hashlib.sha256(self.worker_id.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little") % count
 
-    def sweep_order(self, task_ids, priorities=None) -> list:
-        """*task_ids* in this worker's claim-sweep order.
-
-        Priority first: tasks are grouped by descending priority (a missing
-        entry in *priorities* reads as 0), so every worker finishes all
-        higher-priority pending work before touching lower — a published
-        plan's priority field lands here.  Within one priority
-        class the worker-id-hashed :meth:`sweep_offset` rotation still
-        applies, so equal-priority workers spread their first touches
-        instead of contending for the same claim.
-        """
-        if priorities:
-            classes: dict = {}
-            for task_id in task_ids:
-                classes.setdefault(priorities.get(task_id, 0), []).append(task_id)
-            ordered: list = []
-            for priority in sorted(classes, reverse=True):
-                bucket = classes[priority]
-                offset = self.sweep_offset(len(bucket))
-                ordered.extend(bucket[offset:] + bucket[:offset])
-            return ordered
+    def sweep_order(self, task_ids) -> list:
+        """*task_ids* in this worker's claim-sweep order: rotated by
+        :meth:`sweep_offset`, so workers spread their first touches instead
+        of contending for the same claim."""
         order = list(task_ids)
         offset = self.sweep_offset(len(order))
         return order[offset:] + order[:offset]
@@ -532,41 +516,65 @@ def plan_fingerprint(cfg, shards: int) -> str:
     )
 
 
-def publish_plan(store, cfg, shards: int, priority: int = 0) -> str:
+def publish_plan(store, cfg, shards: int) -> str:
     """Persist *cfg* as a drainable plan; returns its key.
 
     Idempotent: republishing the same configuration lands on the same key.
-    *priority* is deliberately **not** part of the fingerprint — it
-    describes urgency, not work — so republishing an already-pending plan
-    at a new priority re-prioritizes it in place instead of duplicating it.
+    A single-shard plan is published with a :class:`RuntimeWarning`:
+    joining workers can then only claim whole stages.
     """
+    if shards == 1:
+        warnings.warn(
+            "publishing a single-shard plan: joining workers can only claim "
+            "whole stages; use --shards N for shard-level work sharing",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     key = plan_fingerprint(cfg, shards)
-    store.put("plan", key, {"config": cfg, "shards": shards, "priority": int(priority)})
+    store.put("plan", key, {"config": cfg, "shards": shards})
     return key
 
 
-def plan_priority(value: dict) -> int:
-    """The priority of a published plan value (pre-priority plans read 0)."""
-    priority = value.get("priority", 0) if isinstance(value, dict) else 0
-    if isinstance(priority, bool) or not isinstance(priority, int):
-        return 0
-    return priority
+def _valid_plan(value) -> bool:
+    """Whether a stored ``plan`` value is drainable: a dict holding a
+    :class:`~repro.store.stages.PipelineConfig` under ``"config"`` and a
+    shard count >= 1 under ``"shards"``.  Other keys are ignored, so
+    plans published with the old priority field still load."""
+    from repro.store.stages import PipelineConfig
+
+    if not isinstance(value, dict):
+        return False
+    shards = value.get("shards")
+    return (
+        isinstance(value.get("config"), PipelineConfig)
+        and isinstance(shards, int)
+        and not isinstance(shards, bool)
+        and shards >= 1
+    )
 
 
 def load_plans(store) -> list[tuple[str, dict]]:
-    """All published plans in *store*, as ``(key, value)`` pairs.
+    """All drainable published plans in *store*, as ``(key, value)`` pairs.
 
-    Sorted by descending priority, then key, so every worker visits plans
-    in the same order (workers colliding on the same plan is fine — that is
-    the point — but a shared order drains one plan at full width before
-    starting the next, and urgent plans drain before backfill).
+    Sorted by key, so every worker visits plans in the same order (workers
+    colliding on the same plan is fine — that is the point — but a shared
+    order drains one plan at full width before starting the next).  A
+    malformed plan value is skipped with a :class:`RuntimeWarning`.
     """
-    plans = [
-        (key, value)
-        for key in sorted(store.keys("plan"))
-        if (value := store.get("plan", key)) is not None
-    ]
-    plans.sort(key=lambda pair: (-plan_priority(pair[1]), pair[0]))
+    plans = []
+    for key in sorted(store.keys("plan")):
+        value = store.get("plan", key)
+        if value is None:
+            continue
+        if not _valid_plan(value):
+            warnings.warn(
+                f"skipping malformed plan {key[:12]}: expected a PipelineConfig "
+                "under 'config' and a shard count >= 1 under 'shards'",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            continue
+        plans.append((key, value))
     return plans
 
 

@@ -43,20 +43,17 @@ On top of the benign races sits an opt-in **work-stealing scheduler**
 (``ShardPlan.steal``, :mod:`repro.store.queue`): instead of each worker
 computing a statically assigned range, pending shard keys are claimed by
 atomic create in a claim directory beside the store, with lease timestamps
-so a crashed worker's claim expires and is re-stealable.  Any number of
-heterogeneous workers (including separate ``repro worker`` processes on
-other machines) drain one plan; the merge fires in whichever worker claims
-it once the last shard lands.  Stolen, pooled and unsharded runs all leave
-byte-identical store entries.
+so a crashed worker's claim expires and is re-stealable.  Its width comes
+from ``repro worker`` processes sharing the store, not from a pool: any
+number of them drain one plan, and the merge fires in whichever worker
+claims it once the last shard lands.  Stolen, pooled and unsharded runs
+all leave byte-identical store entries.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-
-from repro.envutil import env_int
 
 #: Artifact kinds introduced by sharding (registered in
 #: :data:`repro.store.fingerprint.SCHEMA_VERSIONS`).
@@ -80,8 +77,10 @@ class ShardPlan:
     ``steal`` switches from static range assignment to the work-stealing
     claim queue (:mod:`repro.store.queue`): every stage resolution is
     claimed by atomic create before computing, so concurrent runners —
-    pool workers, other processes, other machines — drain one plan without
-    duplicating work or idling behind a straggler's static range.
+    this process and ``repro worker`` processes sharing the store — drain
+    one plan without duplicating work or idling behind a straggler's
+    static range.  Steal mode has no pool of its own, so it refuses
+    ``workers > 1``.
     """
 
     shards: int = 1
@@ -93,6 +92,11 @@ class ShardPlan:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if self.steal and self.workers > 1:
+            raise ValueError(
+                f"steal mode takes no process pool (workers={self.workers}); "
+                "add width by running more `repro worker --store DIR` processes"
+            )
 
     @property
     def sharded(self) -> bool:
@@ -100,12 +104,9 @@ class ShardPlan:
 
     @property
     def pooled(self) -> bool:
-        """True when shard work can actually reach the worker pool.
-
-        ``workers`` alone is not enough: with a single shard the pool is
-        never created, so timings stay genuine wall-clock (the bench
-        snapshot/perf-gate guards key off this, not off ``workers``).
-        """
+        """True when shard work can actually reach the worker pool
+        (``workers`` alone is not enough: with a single shard the pool is
+        never created)."""
         return self.sharded and self.workers > 1
 
 
@@ -123,56 +124,36 @@ def normalized_plan(shards: int, workers: int, steal: bool = False) -> ShardPlan
 
 
 def resolve_plan(
-    shards: int | None, workers: int | None, steal: bool | None = None
+    shards: int | None, workers: int | None, steal: bool = False
 ) -> ShardPlan:
-    """Combine explicit knobs (``None`` = not given) with the environment.
+    """The plan named by ``--shards`` / ``--workers`` / ``--steal``
+    (``None`` = flag not given).
 
-    The single source of the precedence rules, shared by the CLI flags and
-    ``REPRO_SHARDS``/``REPRO_WORKERS``: an explicit value always beats the
-    environment, and the workers-imply-shards expansion fires only when no
-    shard count was given anywhere — asking for 1 shard means 1 shard.
+    The workers-imply-shards expansion fires only when no shard count was
+    given — asking for 1 shard means 1 shard.  Raises :class:`ValueError`
+    for a combination :class:`ShardPlan` refuses.
     """
-    if shards is None and (os.environ.get("REPRO_SHARDS") or "").strip():
-        # 0 doubles as the sentinel for "no usable value": an explicit
-        # REPRO_SHARDS=0 and a malformed one (env_int's warned fallback)
-        # both leave the count undecided, so workers may still imply it.
-        parsed = env_int("REPRO_SHARDS", default=0, minimum=0)
-        if parsed >= 1:
-            shards = parsed
-    if workers is None:
-        workers = env_int("REPRO_WORKERS", default=0, minimum=0)
-    if steal is None:
-        from repro.envutil import env_flag
+    import warnings
 
-        steal = env_flag("REPRO_STEAL", default=False)
+    workers = workers or 0
     if shards is None:
         return normalized_plan(1, workers, steal=steal)
     if shards < 1 or workers < 0:
-        # As loud as the env knobs: a typo'd sign must not silently
-        # sequentialize the run.
-        import warnings
-
+        # A typo'd sign must not silently sequentialize the run.
         warnings.warn(
             f"clamping shards={shards}/workers={workers} to the valid range",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     plan = ShardPlan(shards=max(shards, 1), workers=max(workers, 0), steal=steal)
     if plan.workers > 1 and not plan.pooled:
-        import warnings
-
         warnings.warn(
             f"workers={plan.workers} has no effect with a single shard; "
             "raise the shard count (or drop it to let workers imply one)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return plan
-
-
-def plan_from_env() -> ShardPlan:
-    """The plan named by ``REPRO_SHARDS`` / ``REPRO_WORKERS`` (default: unsharded)."""
-    return resolve_plan(None, None)
 
 
 def shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
@@ -383,25 +364,14 @@ class _SyntheticExecutionSpec(_FanoutSpec):
     def compute(self, runner, cfg, index: int, shards: int):
         # Ranges are over the *generated* kernel list (which may fall short
         # of the requested count on sampler exhaustion); a shard past the
-        # end measures nothing.  Names and dataset scales use the global
-        # kernel index, exactly like the unsharded execute stage.
+        # end measures nothing.  The unsharded execute stage measures
+        # through the same helper, so names, dataset scales and the lint
+        # filter see global kernel indices either way.
         synthesis = runner.synthesis(cfg)
         ranges = shard_ranges(len(synthesis.kernels), shards)
         if index >= len(ranges):
             return []
-        start, stop = ranges[index]
-        driver = runner._make_driver(cfg)
-        scales = cfg.dataset_scales
-        measured = driver.measure_many(
-            [kernel.source for kernel in synthesis.kernels[start:stop]],
-            names=[f"clgen.{position}" for position in range(start, stop)],
-            dataset_scales=[
-                scales[position % len(scales)] for position in range(start, stop)
-            ],
-        )
-        from repro.store.stages import detached
-
-        return [detached(measurement) for measurement in measured]
+        return runner._measure_synthetic(cfg, synthesis, *ranges[index])
 
 
 class _SampleSpec(_FanoutSpec):
@@ -489,13 +459,6 @@ def sharded_synthesis(runner, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _in_process_shards() -> None:
-    """A pool worker resolves its shards in-process: the shard pool *is* the
-    parallelism, so no runner the worker builds may fan out into a pool of
-    its own (N workers × M nested processes would thrash the host)."""
-    os.environ["REPRO_WORKERS"] = "0"
-
-
 def _shard_worker(task):
     """Process-pool entry point: resolve one fan-out shard on a fresh runner.
 
@@ -508,36 +471,12 @@ def _shard_worker(task):
     from repro.store.artifact_store import resolve_store
     from repro.store.stages import PipelineRunner
 
-    _in_process_shards()
     # resolve_store, not a fresh ArtifactStore: a pool worker handling
     # several shard tasks then shares one memory layer across them (e.g.
     # the merged kernel batch deserializes once per worker, not per task).
     runner = PipelineRunner(store=resolve_store(cache_dir), shards=shards, workers=0)
     value = _SPECS[spec_name].resolve(runner, cfg, index, shards)
     return index, value, runner.events
-
-
-def _drain_worker(task):
-    """Process-pool entry point for steal mode: drain one spec's queue.
-
-    Unlike :func:`_shard_worker` there is no assigned index — the worker
-    claims whatever shards of *spec* are still unclaimed, computes them,
-    and returns when the spec's shards all exist in the store (its own or
-    other workers').  Heterogeneous workers therefore finish together
-    instead of idling behind a straggler's static range.
-    """
-    cache_dir, cfg, spec_name, shards, lease_seconds = task
-    from repro.store.artifact_store import resolve_store
-    from repro.store.stages import PipelineRunner
-
-    _in_process_shards()
-    runner = PipelineRunner(
-        store=resolve_store(cache_dir),
-        plan=ShardPlan(shards=shards, workers=0, steal=True),
-        lease_seconds=lease_seconds,
-    )
-    _drain_fanout(runner, cfg, _SPECS[spec_name])
-    return runner.events
 
 
 def _resolve_fanout(runner, cfg, spec: _FanoutSpec) -> list:
@@ -647,17 +586,12 @@ def _resolve_fanout_pool(runner, cfg, spec, pending: list[int], values: list) ->
 def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
     """Steal-mode resolution of *spec*: claim, compute, or await each shard.
 
-    Every participating runner (this one, its pooled drain workers, and any
-    ``repro worker`` process pointed at the same store) runs this same
-    loop: probe each missing shard, claim one and compute it, and poll for
-    the shards other workers hold claims on.  The loop ends when every
-    shard exists — nobody idles while *any* shard is still unclaimed, and a
-    crashed worker's claim expires (lease) and is stolen.
-
-    With ``workers > 1`` the loop is preceded by a best-effort pool of
-    :func:`_drain_worker` processes draining the same queue; the parent
-    loop afterwards collects the values (and computes any stragglers
-    itself), so pool failures degrade seamlessly.
+    Every participating runner (this one and any ``repro worker`` process
+    pointed at the same store) runs this same loop: probe each missing
+    shard, claim one and compute it, and poll for the shards other workers
+    hold claims on.  The loop ends when every shard exists — nobody idles
+    while *any* shard is still unclaimed, and a crashed worker's claim
+    expires (lease) and is stolen.
 
     Failure semantics: a shard compute that raises charges the shard's
     retry budget (:meth:`~repro.store.queue.ShardQueue.record_failure`) and
@@ -675,18 +609,13 @@ def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
     values: list = [None] * len(keys)
     pending = set(range(len(keys)))
 
-    def sweep(claim: bool) -> bool:
+    def sweep() -> bool:
         progressed = False
         queue = runner.queue()
-        # Priority classes first (the published plan's priority rides on
-        # the runner), then the worker-id-hashed rotation within each
-        # class: wide fan-outs would otherwise have every worker contend
-        # for the same first pending shard, lose, and shift by one —
-        # O(workers) wasted claim attempts per shard.
-        order = queue.sweep_order(
-            sorted(pending), {index: runner.priority for index in pending}
-        )
-        for index in order:
+        # The worker-id-hashed rotation: wide fan-outs would otherwise have
+        # every worker contend for the same first pending shard, lose, and
+        # shift by one — O(workers) wasted claim attempts per shard.
+        for index in queue.sweep_order(sorted(pending)):
             started = time.perf_counter()
             value = runner.store.get(spec.kind, keys[index])
             if value is not None:
@@ -698,7 +627,7 @@ def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
                 progressed = True
                 continue
             queue.raise_if_failed(keys[index])
-            if claim and queue.try_claim(keys[index]):
+            if queue.try_claim(keys[index]):
                 fault_point("crash_after_claim", kind=spec.kind, shard=index)
                 try:
                     with queue.heartbeat(keys[index]):
@@ -720,63 +649,10 @@ def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
                 progressed = True
         return progressed
 
-    # Probe-only sweep first: warm shards come straight from the store, and
-    # the pool (when asked for) should get the cold work, not the parent.
-    sweep(claim=False)
-    if len(pending) > 1 and runner.plan.pooled:
-        import warnings
-
-        try:
-            _drain_fanout_pool(runner, cfg, spec, len(pending))
-        except _PoolUnavailable as error:
-            warnings.warn(
-                f"drain worker pool unavailable ({error}); draining in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     while pending:
-        if not sweep(claim=True) and pending:
+        if not sweep() and pending:
             time.sleep(runner.queue().poll_seconds)
     return values
-
-
-def _drain_fanout_pool(runner, cfg, spec, pending_count: int) -> None:
-    """Fan steal-mode drain workers out over a process pool.
-
-    Each worker drains the spec's claim queue until every shard exists;
-    their stage events are replayed into the parent for honest accounting
-    (a shard computed by a pool worker replays as a miss, so the parent's
-    subsequent collection hit reads as structural, not warm).  Failure
-    classification mirrors :func:`_resolve_fanout_pool`.
-    """
-    import pickle as pickle_mod
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-
-    cache_dir = str(runner.store.directory)
-    lease = runner.queue().lease_seconds
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=min(runner.plan.workers, pending_count)
-        )
-    except (ImportError, OSError, ValueError) as error:
-        raise _PoolUnavailable(f"cannot start pool: {error!r}") from error
-    with pool:
-        try:
-            futures = [
-                pool.submit(
-                    _drain_worker, (cache_dir, cfg, spec.name, runner.plan.shards, lease)
-                )
-                for _ in range(min(runner.plan.workers, pending_count))
-            ]
-        except (pickle_mod.PicklingError, AttributeError, TypeError) as error:
-            raise _PoolUnavailable(f"cannot ship drain task: {error!r}") from error
-        for future in as_completed(futures):
-            try:
-                events = future.result()
-            except (BrokenExecutor, pickle_mod.PicklingError) as error:
-                raise _PoolUnavailable(f"worker failed: {error!r}") from error
-            for event in events:
-                runner._record_event(event.stage, event.fingerprint, event.hit, event.seconds)
 
 
 def _merged(runner, stage: str, kind: str, key: str, combine, drain=None):
@@ -904,17 +780,22 @@ def sharded_synthetic_measurements(runner, cfg):
         # error must not be swallowed into an empty cached artifact.
         raise SynthesisError("kernel count must be positive")
 
-    def merge():
-        # Resolve the sample chain in the parent before fanning out: it
-        # lands in the shared store, so pool workers (whose shard computes
-        # re-resolve it for the kernel list) hit instead of each racing to
-        # recompute the whole sequential chain.
+    def upstream():
+        # Resolve the kernel batch (and, when filtering, its lint verdicts)
+        # in the parent before fanning out: they land in the shared store,
+        # so pool workers, whose shard computes re-resolve them, hit
+        # instead of each racing to recompute them.
         runner.synthesis(cfg)
+        if cfg.lint_filter:
+            runner.lint_verdicts(cfg)
+
+    def merge():
+        upstream()
         shard_values = _resolve_fanout(runner, cfg, _SYNTH_EXEC)
         return [measurement for value in shard_values for measurement in value]
 
     def drain():
-        runner.synthesis(cfg)
+        upstream()
         _resolve_fanout(runner, cfg, _SYNTH_EXEC)
 
     return _merged(

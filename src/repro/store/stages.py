@@ -43,7 +43,7 @@ from repro.model.lstm import LSTMConfig
 from repro.model.trainer import ModelTrainer, TrainedModel, TrainerConfig
 from repro.store.artifact_store import ArtifactStore, resolve_store
 from repro.store.fingerprint import fingerprint, text_digest
-from repro.store.shards import ShardPlan, normalized_plan, plan_from_env
+from repro.store.shards import ShardPlan, normalized_plan
 from repro.suites.registry import all_suites
 from repro.synthesis.generator import CLgen, SynthesisResult
 from repro.synthesis.sampler import SamplerConfig
@@ -315,10 +315,10 @@ class PipelineRunner:
     dispatches ready fan-out shards to a process pool.  With ``steal=True``
     (and an on-disk store) every stage resolution is claimed through the
     work-stealing queue (:mod:`repro.store.queue`) before computing, so any
-    number of runners — this process, its pool workers, and separate
-    ``repro worker`` processes — drain one plan together.  Sharded, pooled,
-    stolen and unsharded runs produce bit-identical whole-pipeline
-    artifacts under the same store keys.
+    number of runners — this process and separate ``repro worker``
+    processes — drain one plan together.  Sharded, pooled, stolen and
+    unsharded runs produce bit-identical whole-pipeline artifacts under the
+    same store keys.
     """
 
     #: Bound on live (deserialization-free) objects kept for in-process reuse.
@@ -334,17 +334,11 @@ class PipelineRunner:
         plan: ShardPlan | None = None,
         lease_seconds: float | None = None,
         poll_seconds: float | None = None,
-        priority: int = 0,
     ):
         self.store = store if store is not None else resolve_store(cache_dir)
         # workers without shards implies one shard per worker (an explicit
         # plan= is taken verbatim).
         self.plan = plan if plan is not None else normalized_plan(shards, workers, steal=steal)
-        #: The plan as asked for, before any store-capability demotions —
-        #: default_runner() compares against this so a runner whose plan was
-        #: demoted (e.g. steal without a disk store) is not rebuilt, and
-        #: re-warned, on every call.
-        self.requested_plan = self.plan
         if self.plan.pooled and self.store.directory is None:
             # A memory-only store is invisible to pool workers: each would
             # recompute the whole upstream chain privately and ship it
@@ -375,10 +369,6 @@ class PipelineRunner:
         #: the queue defaults / REPRO_QUEUE_LEASE).
         self._lease_seconds = lease_seconds
         self._poll_seconds = poll_seconds
-        #: The priority of the plan this runner is draining: claim sweeps
-        #: order pending shards by it (higher first) before the worker-id
-        #: rotation, so a fleet finishes urgent plans before backfill.
-        self.priority = priority
         self._shard_queue = None
         self.events: list[StageEvent] = []
         #: Live objects (the trained model instance, with its sampling memos
@@ -617,37 +607,14 @@ class PipelineRunner:
 
     def synthetic_measurements(self, cfg: PipelineConfig) -> list[KernelMeasurement]:
         """Stage ``execute`` (synthetic side): measurements of the kernel batch."""
-        if self.plan.sharded and not cfg.lint_filter:
+        if self.plan.sharded:
             from repro.store import shards as shardlib
 
             return shardlib.sharded_synthetic_measurements(self, cfg)
 
         def compute() -> list[KernelMeasurement]:
             synthesis = self.synthesis(cfg)
-            driver = self._make_driver(cfg)
-            scales = cfg.dataset_scales
-            batch = list(enumerate(synthesis.kernels))
-            if cfg.lint_filter:
-                # Drop bailout-certain kernels before measurement; indices
-                # (and therefore names and dataset scales) of the surviving
-                # kernels are preserved, so a filtered run is the unfiltered
-                # run minus the doomed rows.
-                doomed = {
-                    record["name"]
-                    for record in self.lint_verdicts(cfg)
-                    if record["classification"] == "bailout"
-                }
-                batch = [
-                    (index, kernel)
-                    for index, kernel in batch
-                    if f"clgen.{index}" not in doomed
-                ]
-            measured = driver.measure_many(
-                [kernel.source for index, kernel in batch],
-                names=[f"clgen.{index}" for index, kernel in batch],
-                dataset_scales=[scales[index % len(scales)] for index, kernel in batch],
-            )
-            return [detached(measurement) for measurement in measured]
+            return self._measure_synthetic(cfg, synthesis, 0, len(synthesis.kernels))
 
         return self._stage(
             "execute", "synthetic-measurements", synthetic_execution_fingerprint(cfg), compute
@@ -656,6 +623,33 @@ class PipelineRunner:
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
+
+    def _measure_synthetic(
+        self, cfg: PipelineConfig, synthesis: SynthesisResult, start: int, stop: int
+    ) -> list[KernelMeasurement]:
+        """Measure kernels ``start:stop`` of *synthesis* — the whole batch
+        (unsharded) or one shard's range.
+
+        Names and dataset scales follow the global kernel index.  With
+        ``cfg.lint_filter`` the analyzer's bailout-certain kernels are
+        dropped before measurement, so a filtered run is the unfiltered run
+        minus the doomed rows, sharded or not.
+        """
+        indices = range(start, stop)
+        if cfg.lint_filter:
+            doomed = {
+                record["name"]
+                for record in self.lint_verdicts(cfg)
+                if record["classification"] == "bailout"
+            }
+            indices = [index for index in indices if f"clgen.{index}" not in doomed]
+        scales = cfg.dataset_scales
+        measured = self._make_driver(cfg).measure_many(
+            [synthesis.kernels[index].source for index in indices],
+            names=[f"clgen.{index}" for index in indices],
+            dataset_scales=[scales[index % len(scales)] for index in indices],
+        )
+        return [detached(measurement) for measurement in measured]
 
     def _make_driver(self, cfg: PipelineConfig) -> HostDriver:
         return HostDriver(
@@ -731,9 +725,8 @@ class PipelineRunner:
         Exactly one concurrent runner wins the claim and computes — under a
         lease heartbeat, so a long compute is never mistaken for a dead
         worker — while everyone else polls the store until the artifact
-        lands, recorded as a hit whose seconds are wait rather than work
-        (one reason steal-mode sessions are refused as bench timing
-        sources).  A crashed winner's claim expires after its lease and the
+        lands, recorded as a hit whose seconds are wait rather than work.
+        A crashed winner's claim expires after its lease and the
         next poller steals it, charging the death against the task's retry
         budget; a winner whose compute *raises* records the failure and
         releases the claim, so the task is retried (here or elsewhere)
@@ -785,18 +778,10 @@ _DEFAULT_RUNNER: PipelineRunner | None = None
 
 
 def default_runner() -> PipelineRunner:
-    """The process-wide runner over the env-configured (or memory) store.
-
-    The shard plan comes from ``REPRO_SHARDS`` / ``REPRO_WORKERS``, which is
-    how entry points that only take a runner implicitly — the experiment
-    harness, the bench session fixtures — opt into sharded resolution.
-    """
+    """The process-wide unsharded runner over the env-configured (or
+    memory) store."""
     global _DEFAULT_RUNNER
-    plan = plan_from_env()
-    if (
-        _DEFAULT_RUNNER is None
-        or _DEFAULT_RUNNER.store is not resolve_store(None)
-        or _DEFAULT_RUNNER.requested_plan != plan
-    ):
-        _DEFAULT_RUNNER = PipelineRunner(store=resolve_store(None), plan=plan)
+    store = resolve_store(None)
+    if _DEFAULT_RUNNER is None or _DEFAULT_RUNNER.store is not store:
+        _DEFAULT_RUNNER = PipelineRunner(store=store)
     return _DEFAULT_RUNNER

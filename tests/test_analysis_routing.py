@@ -261,6 +261,35 @@ class TestLintFilterStage:
         # must only ever remove doomed rows, never add names.
         assert measured_names <= expected
 
+    def test_sharded_filtered_run_keeps_its_shards(self, tmp_path, monkeypatch):
+        """The lint filter keeps the shard plan: a sharded filtered run stores
+        one measurement entry per shard, and its merge is byte-equal to the
+        unsharded filtered run's."""
+        from repro.store.artifact_store import ArtifactStore
+        from repro.store.stages import PipelineRunner, synthetic_execution_fingerprint
+
+        verdicts = PipelineRunner.lint_verdicts
+
+        def one_doomed(runner, cfg):
+            records = [dict(record) for record in verdicts(runner, cfg)]
+            records[1]["classification"] = "bailout"
+            return records
+
+        monkeypatch.setattr(PipelineRunner, "lint_verdicts", one_doomed)
+        config = self._config(lint_filter=True)
+        key = synthetic_execution_fingerprint(config)
+        entries = {}
+        for shards in (1, 3):
+            store = ArtifactStore(directory=tmp_path / f"store-{shards}")
+            measured = PipelineRunner(store=store, shards=shards).synthetic_measurements(
+                config
+            )
+            assert [m.name for m in measured] == ["clgen.0", "clgen.2", "clgen.3"]
+            entries[shards] = store.entry_path("synthetic-measurements", key).read_bytes()
+            shard_entries = store.stats().kinds.get("synthetic-measurements-shard")
+            assert (shard_entries or {}).get("entries", 0) == (3 if shards == 3 else 0)
+        assert entries[3] == entries[1]
+
     def test_every_stored_kind_has_a_schema_version(self, tmp_path):
         """A kind missing from SCHEMA_VERSIONS is stored at schema 0, where
         no version bump can ever invalidate it."""

@@ -18,7 +18,7 @@ from repro.experiments import (
     run_table1,
     run_turing_test,
 )
-from repro.experiments.common import make_driver
+from repro.driver.harness import DriverConfig, HostDriver
 from repro.experiments.figure8 import run_figure8
 from repro.store.stages import PipelineConfig
 from repro.suites import suite_summary
@@ -38,7 +38,7 @@ def shared_data(config, clgen):
     The session clgen is trained on the conftest corpus, not on *config*'s
     stage graph, so ``synthesize_and_measure`` refuses it; its kernels are
     generated and measured here with the stage config's count, seed,
-    attempt budget and dataset scales.
+    attempt budget, driver settings and dataset scales.
     """
     data = measure_suites(config)
     stage_config = PipelineConfig.from_experiment(config)
@@ -48,8 +48,15 @@ def shared_data(config, clgen):
         max_attempts_per_kernel=stage_config.max_attempts_per_kernel,
     )
     scales = stage_config.dataset_scales
+    driver = HostDriver(
+        config=DriverConfig(
+            executed_global_size=stage_config.executed_global_size,
+            local_size=stage_config.local_size,
+            payload_seed=stage_config.payload_seed,
+        )
+    )
     data.synthesis = result
-    data.synthetic_measurements = make_driver(config).measure_many(
+    data.synthetic_measurements = driver.measure_many(
         [kernel.source for kernel in result.kernels],
         names=[f"clgen.{index}" for index in range(len(result.kernels))],
         dataset_scales=[scales[index % len(scales)] for index in range(len(result.kernels))],

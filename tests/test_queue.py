@@ -5,10 +5,10 @@ The headline invariants:
 
 * the claim protocol admits exactly one winner per claim lifetime — across
   racing threads, expired-lease stealers, and crashed workers;
-* queue-drained runs (one worker, several in-process workers, a pooled
-  drain, and two separate ``repro worker`` processes) leave store entries
-  byte-identical to an unsharded run, for every stage kind including the
-  newly parallel sample stage.
+* queue-drained runs (one worker, several in-process workers, and two
+  separate ``repro worker`` processes) leave store entries byte-identical
+  to an unsharded run, for every stage kind including the newly parallel
+  sample stage.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from repro.store.queue import (
     drain_plan,
     load_plans,
     plan_fingerprint,
-    plan_priority,
     publish_plan,
     queue_status,
 )
-from repro.store.shards import _SAMPLE, _SUITE_EXEC, ShardPlan, shard_ranges
+from repro.store.shards import _SAMPLE, _SUITE_EXEC, shard_ranges
 from repro.store.stages import PipelineConfig, PipelineRunner
 
 SHARDS = 3
@@ -231,7 +230,7 @@ class TestPlans:
         assert key == plan_fingerprint(cfg, SHARDS)
         plans = load_plans(store)
         assert [k for k, _ in plans] == [key]
-        assert plans[0][1] == {"config": cfg, "shards": SHARDS, "priority": 0}
+        assert plans[0][1] == {"config": cfg, "shards": SHARDS}
 
     def test_republishing_is_idempotent(self, tmp_path):
         store = ArtifactStore(directory=tmp_path / "store")
@@ -250,32 +249,48 @@ class TestPlans:
         assert len(load_plans(store)) == 2
 
     def test_load_plans_orders_by_priority_then_key(self, tmp_path):
+        """Plans load in key order alone: a plan value still carrying the
+        old priority field loads, and its priority reorders nothing."""
         store = ArtifactStore(directory=tmp_path / "store")
-        low = publish_plan(store, tiny_config(), SHARDS, priority=-1)
-        mid_a = publish_plan(store, tiny_config().with_count(7), SHARDS)
-        mid_b = publish_plan(store, tiny_config().with_count(8), SHARDS)
-        high = publish_plan(store, tiny_config().with_count(9), SHARDS, priority=10)
-        keys = [key for key, _value in load_plans(store)]
-        assert keys[0] == high
-        assert keys[-1] == low
-        assert keys[1:3] == sorted([mid_a, mid_b])  # ties break on key
+        keys = [
+            publish_plan(store, tiny_config().with_count(count), SHARDS)
+            for count in (7, 8, 9)
+        ]
+        store.put(
+            "plan",
+            keys[2],
+            {"config": tiny_config().with_count(9), "shards": SHARDS, "priority": 10},
+        )
+        assert [key for key, _value in load_plans(store)] == sorted(keys)
 
-    def test_republish_reprioritizes_in_place(self, tmp_path):
-        """Priority is deliberately outside the fingerprint: posting the
-        same (config, shards) with a new priority updates the one plan."""
+    def test_publish_warns_about_a_single_shard_plan(self, tmp_path):
+        import warnings
+
         store = ArtifactStore(directory=tmp_path / "store")
-        key = publish_plan(store, tiny_config(), SHARDS, priority=0)
-        assert publish_plan(store, tiny_config(), SHARDS, priority=5) == key
-        plans = load_plans(store)
-        assert len(plans) == 1
-        assert plan_priority(plans[0][1]) == 5
+        with pytest.warns(RuntimeWarning, match="single-shard plan"):
+            publish_plan(store, tiny_config(), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            publish_plan(store, tiny_config(), 3)
 
-    def test_plan_priority_tolerates_legacy_values(self):
-        assert plan_priority({"config": None, "shards": 3}) == 0
-        assert plan_priority({"priority": "7"}) == 0  # malformed, not trusted
-        assert plan_priority({"priority": True}) == 0
-        assert plan_priority({"priority": -3}) == -3
-        assert plan_priority("not even a dict") == 0
+    def test_malformed_plans_are_skipped_with_a_warning(self, tmp_path):
+        store = ArtifactStore(directory=tmp_path / "store")
+        good = publish_plan(store, tiny_config(), SHARDS)
+        malformed = {
+            "aa" * 32: ["not", "a", "dict"],
+            "bb" * 32: {"config": None, "shards": SHARDS},
+            "cc" * 32: {"config": tiny_config(), "shards": True},
+            "dd" * 32: {"config": tiny_config(), "shards": 0},
+            "ee" * 32: {"config": "tiny", "shards": SHARDS},
+        }
+        for key, value in malformed.items():
+            store.put("plan", key, value)
+        with pytest.warns(RuntimeWarning) as record:
+            plans = load_plans(store)
+        assert [key for key, _value in plans] == [good]
+        warned = " ".join(str(warning.message) for warning in record)
+        for key in malformed:
+            assert key[:12] in warned
 
 
 class TestQueueDrainedBitIdentity:
@@ -319,17 +334,6 @@ class TestQueueDrainedBitIdentity:
         assert errors == []
         assert_stores_byte_identical(reference_store, directory)
 
-    def test_pooled_drain_matches_unsharded(self, tmp_path, reference_store):
-        directory = tmp_path / "store"
-        runner = PipelineRunner(
-            store=ArtifactStore(directory=directory),
-            shards=SHARDS,
-            workers=2,
-            steal=True,
-        )
-        drain_plan(runner, tiny_config())
-        assert_stores_byte_identical(reference_store, directory)
-
     def test_two_worker_processes_join_via_cli(self, tmp_path, reference_store):
         """The end-to-end story: publish a plan, point two separate
         ``repro worker`` processes at the store, and get an unsharded-
@@ -371,6 +375,28 @@ class TestQueueDrainedBitIdentity:
 
         assert main(["worker", "--store", str(tmp_path / "store")]) == 0
         assert "no published plans" in capsys.readouterr().err
+
+    def test_worker_skips_a_malformed_plan_and_drains_a_legacy_one(
+        self, tmp_path, reference_store, capsys
+    ):
+        """A malformed plan entry ends in a warning, not a crash, and a
+        plan published with the old priority field still drains."""
+        from repro.cli import main
+
+        directory = tmp_path / "store"
+        store = ArtifactStore(directory=directory)
+        cfg = tiny_config()
+        store.put(
+            "plan",
+            plan_fingerprint(cfg, SHARDS),
+            {"config": cfg, "shards": SHARDS, "priority": 3},
+        )
+        bad = "ab" * 32
+        store.put("plan", bad, {"config": None})
+        with pytest.warns(RuntimeWarning, match=bad[:12]):
+            assert main(["worker", "--store", str(directory)]) == 0
+        assert "drained 1 plan(s)" in capsys.readouterr().out
+        assert_stores_byte_identical(reference_store, directory)
 
 
 class TestStragglerRecovery:
@@ -627,7 +653,8 @@ class TestTrainCliRoundTrip:
 
 
 class TestEnvKnobs:
-    """ISSUE 5: new env parsing (size watermark, lease, steal flag)."""
+    """The size watermark's env parsing, and steal mode's need for an
+    on-disk store."""
 
     def test_env_size_parses_suffixes_and_hardens(self, monkeypatch):
         from repro.envutil import env_size
@@ -642,25 +669,6 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "-5M")
         with pytest.warns(RuntimeWarning, match="REPRO_STORE_MAX_BYTES"):
             assert env_size("REPRO_STORE_MAX_BYTES") is None
-
-    def test_env_flag_parses_and_hardens(self, monkeypatch):
-        from repro.envutil import env_flag
-
-        for raw, expected in (("1", True), ("true", True), ("ON", True),
-                              ("0", False), ("off", False)):
-            monkeypatch.setenv("REPRO_STEAL", raw)
-            assert env_flag("REPRO_STEAL") is expected
-        monkeypatch.setenv("REPRO_STEAL", "sure")
-        with pytest.warns(RuntimeWarning, match="REPRO_STEAL"):
-            assert env_flag("REPRO_STEAL") is False
-
-    def test_steal_env_reaches_the_plan(self, monkeypatch):
-        from repro.store.shards import plan_from_env
-
-        monkeypatch.setenv("REPRO_STEAL", "1")
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert plan_from_env() == ShardPlan(shards=1, workers=0, steal=True)
 
     def test_steal_without_disk_store_degrades_with_warning(self):
         with pytest.warns(RuntimeWarning, match="on-disk store"):
@@ -826,25 +834,6 @@ class TestHeartbeat:
         assert sorted(order) == tasks
         offset = queue.sweep_offset(len(tasks))
         assert order == tasks[offset:] + tasks[:offset]
-
-    def test_sweep_order_visits_priority_classes_descending(self, tmp_path):
-        queue = ShardQueue(tmp_path)
-        tasks = [f"{index:02d}" for index in range(9)]
-        priorities = {task: int(task) % 3 for task in tasks}
-        order = queue.sweep_order(tasks, priorities)
-        assert sorted(order) == tasks
-        seen_classes = [priorities[task] for task in order]
-        assert seen_classes == sorted(seen_classes, reverse=True)
-        # Within one class the worker's rotation still applies.
-        bucket = [task for task in tasks if priorities[task] == 2]
-        offset = queue.sweep_offset(len(bucket))
-        assert order[: len(bucket)] == bucket[offset:] + bucket[:offset]
-
-    def test_sweep_order_missing_priority_reads_zero(self, tmp_path):
-        queue = ShardQueue(tmp_path)
-        order = queue.sweep_order(["aa", "bb", "cc"], {"bb": 1})
-        assert order[0] == "bb"
-        assert sorted(order[1:]) == ["aa", "cc"]
 
 
 class TestPoisonShards:
@@ -1098,47 +1087,3 @@ class TestQueueStatusCLI:
         assert result.returncode == 1
         payload = json.loads(result.stdout)
         assert payload["failures"][0]["task"] == "poisoned-task"
-
-
-class TestWorkerWatch:
-    def test_watch_worker_drains_late_plans_and_honors_sigterm(
-        self, tmp_path, reference_store
-    ):
-        """A resident worker (`--watch`) picks up a plan published *after*
-        it started, and a SIGTERM ends it cleanly with exit 0."""
-        import signal
-
-        directory = tmp_path / "store"
-        directory.mkdir(parents=True)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_STORE_DIR", None)
-        env.pop("REPRO_FAULTS", None)
-        worker = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--store", str(directory), "--watch", "--poll", "0.2",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            time.sleep(1.0)  # the worker is up and polling an empty store
-            publish_plan(ArtifactStore(directory=directory), tiny_config(), SHARDS)
-            deadline = time.time() + 120
-            synthesis = directory / "synthesis"
-            while time.time() < deadline and not list(synthesis.glob("*/*.pkl")):
-                time.sleep(0.2)
-            assert list(synthesis.glob("*/*.pkl")), "watch worker never drained"
-            worker.send_signal(signal.SIGTERM)
-            stdout, stderr = worker.communicate(timeout=60)
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-                worker.communicate()
-        assert worker.returncode == 0, stderr
-        assert "stop requested" in stderr
-        assert_stores_byte_identical(reference_store, directory)

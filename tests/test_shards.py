@@ -27,7 +27,7 @@ from repro.store.shards import (
     _SUITE_EXEC,
     _SYNTH_EXEC,
     _shard_worker,
-    plan_from_env,
+    resolve_plan,
     shard_ranges,
 )
 from repro.store.stages import (
@@ -111,50 +111,42 @@ class TestShardRanges:
         assert not ShardPlan().sharded
         assert ShardPlan(shards=2).sharded
 
-    def test_workers_without_shards_imply_shards(self, tmp_path, monkeypatch):
+    def test_workers_without_shards_imply_shards(self, tmp_path):
         # `--workers 8` alone must not be a silent no-op: it implies one
         # shard per worker.  (Disk-backed store: a memory-only runner
         # degrades its pool at construction.)
         assert PipelineRunner(
             store=ArtifactStore(directory=tmp_path / "store"), workers=3
         ).plan == ShardPlan(shards=3, workers=3)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert plan_from_env() == ShardPlan(shards=2, workers=2)
+        assert resolve_plan(None, 2) == ShardPlan(shards=2, workers=2)
 
-    def test_explicit_shard_count_beats_worker_implication(self, monkeypatch):
-        # An explicit shard count (flag or env) is never expanded by
-        # REPRO_WORKERS — asking for 1 shard means 1 shard.
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        monkeypatch.setenv("REPRO_SHARDS", "1")
+    def test_explicit_shard_count_beats_worker_implication(self):
+        # An explicit shard count is never expanded by --workers — asking
+        # for 1 shard means 1 shard.
         with pytest.warns(RuntimeWarning, match="no effect with a single shard"):
-            assert plan_from_env() == ShardPlan(shards=1, workers=8)
-
-        from repro.cli import _make_runner
-
-        class Args:
-            cache_dir = None
-            shards = 1
-            workers = None
-
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        with pytest.warns(RuntimeWarning, match="no effect with a single shard"):
-            plan = _make_runner(Args()).plan
+            plan = resolve_plan(1, 8)
         assert plan == ShardPlan(shards=1, workers=8)
         assert not plan.pooled  # one shard -> the pool can never engage
-        Args.shards, Args.workers = None, 0
-        assert _make_runner(Args()).plan == ShardPlan(shards=1, workers=0)
+        assert resolve_plan(None, 0) == ShardPlan(shards=1, workers=0)
+        assert resolve_plan(None, None) == ShardPlan(shards=1, workers=0)
 
-    def test_malformed_env_shards_do_not_disable_worker_implication(self, monkeypatch):
-        # A typo'd REPRO_SHARDS must not silently sequentialize a run that
-        # asked for workers: the count falls back to "undecided" and the
-        # implication still fires.
-        monkeypatch.setenv("REPRO_SHARDS", "4x")
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        with pytest.warns(RuntimeWarning, match="REPRO_SHARDS"):
-            plan = plan_from_env()
-        assert plan == ShardPlan(shards=8, workers=8)
-        assert plan.pooled
+    def test_steal_refuses_a_process_pool(self, tmp_path, capsys):
+        # Steal mode takes its width from `repro worker` processes; a pool
+        # of its own is refused by the plan, and by the CLI as a usage
+        # error before any work starts.
+        with pytest.raises(ValueError, match="repro worker"):
+            ShardPlan(shards=3, workers=2, steal=True)
+        assert ShardPlan(shards=3, workers=1, steal=True).steal
+
+        from repro.cli import main
+
+        for flags in (["--workers", "2"], ["--shards", "3", "--workers", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["pipeline", "--steal", *flags,
+                      "--cache-dir", str(tmp_path / "store")])
+            assert exit_info.value.code == 2
+            assert "repro worker" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
 
 class TestShardedBitIdentity:
@@ -518,12 +510,6 @@ class TestEnvHardeningRegression:
         monkeypatch.setenv("REPRO_STORE_DIR", str(not_a_dir))
         with pytest.warns(RuntimeWarning, match="REPRO_STORE_DIR"):
             assert resolve_cache() is GLOBAL_PREPROCESS_CACHE
-
-    def test_malformed_shard_plan_env_is_unsharded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "many")
-        monkeypatch.setenv("REPRO_WORKERS", "0x4")
-        with pytest.warns(RuntimeWarning):
-            assert plan_from_env() == ShardPlan(shards=1, workers=0)
 
 
 class TestKnobTable:
