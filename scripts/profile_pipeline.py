@@ -112,7 +112,6 @@ _EXECUTE_KINDS = frozenset({
     "synthetic-measurements",
     "suite-measurements-shard",
     "synthetic-measurements-shard",
-    "lint-verdicts",
 })
 
 

@@ -2,10 +2,9 @@
 
 Linting is analysis without execution: each kernel is compiled (with the
 shim), pushed through the dataflow passes, and reported with its
-classification, predicted causes and pass counters.  The CLI uses this for
-ad-hoc files and the benchmark suites; the synthesis pipeline uses it as an
-optional pre-execution filter (``PipelineConfig.lint_filter``), persisting
-the verdicts as a fingerprinted store artifact.
+classification, predicted causes and pass counters.  ``repro lint`` uses
+this for ad-hoc files and the benchmark suites; the pipeline itself filters
+nothing by verdict and measures every synthesized kernel.
 """
 
 from __future__ import annotations

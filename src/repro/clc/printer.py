@@ -264,7 +264,3 @@ def print_source(unit: ast.TranslationUnit) -> str:
     """Render a translation unit as normalized OpenCL C source."""
     return SourcePrinter().print_translation_unit(unit)
 
-
-def print_kernel(function: ast.FunctionDecl) -> str:
-    """Render a single function as normalized OpenCL C source."""
-    return SourcePrinter().print_function(function) + "\n"

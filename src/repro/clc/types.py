@@ -259,27 +259,3 @@ def vector(element_name: str, width: int) -> VectorType:
     """Return the vector type ``<element_name><width>``."""
     return VectorType(scalar(element_name), width)
 
-
-def parse_type_name(name: str) -> Type | None:
-    """Best-effort parse of a type spelled as a plain string (used by the
-    payload generator when only textual signatures are available)."""
-    table = TypeTable()
-    name = name.strip()
-    is_pointer = name.endswith("*")
-    if is_pointer:
-        name = name[:-1].strip()
-    space = AddressSpace.PRIVATE
-    for qualifier in ("__global", "global", "__local", "local", "__constant", "constant"):
-        if name.startswith(qualifier + " "):
-            space = AddressSpace.from_qualifier(qualifier)
-            name = name[len(qualifier) :].strip()
-    is_const = False
-    if name.startswith("const "):
-        is_const = True
-        name = name[len("const ") :].strip()
-    base = table.lookup(name)
-    if base is None:
-        return None
-    if is_pointer:
-        return PointerType(base, space, is_const)
-    return base

@@ -485,21 +485,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="artifact-store directory (default: $REPRO_STORE_DIR, else in-memory only)",
     )
-    common.add_argument(
+    # The shard-plan flags, only on the commands that build a runner.
+    plan = argparse.ArgumentParser(add_help=False)
+    plan.add_argument(
         "--shards",
         type=int,
         default=None,
         help="split shardable stages into N per-range artifacts "
              "(default: unsharded); results are bit-identical",
     )
-    common.add_argument(
+    plan.add_argument(
         "--workers",
         type=int,
         default=None,
         help="process-pool width for ready shards; implies --shards M when "
              "--shards is not given (default: in-process); not with --steal",
     )
-    common.add_argument(
+    plan.add_argument(
         "--steal",
         action="store_true",
         default=False,
@@ -509,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     mine = subparsers.add_parser(
-        "mine", parents=[common], help="mine the OpenCL corpus and print statistics"
+        "mine", parents=[common, plan], help="mine the OpenCL corpus and print statistics"
     )
     mine.add_argument("--repositories", type=int, default=100)
     mine.add_argument("--seed", type=int, default=0)
     mine.set_defaults(func=_cmd_mine)
 
     train = subparsers.add_parser(
-        "train", parents=[common], help="train a language model on the corpus"
+        "train", parents=[common, plan], help="train a language model on the corpus"
     )
     train.add_argument("--repositories", type=int, default=100)
     train.add_argument("--seed", type=int, default=0)
@@ -541,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=_cmd_train)
 
     sample = subparsers.add_parser(
-        "sample", parents=[common], help="synthesize OpenCL kernels"
+        "sample", parents=[common, plan], help="synthesize OpenCL kernels"
     )
     sample.add_argument("--count", type=int, default=10)
     # Same default as mine/train: identical flags must resolve to the same
@@ -560,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.set_defaults(func=_cmd_sample)
 
     experiments = subparsers.add_parser(
-        "experiments", parents=[common], help="regenerate every table and figure"
+        "experiments", parents=[common, plan], help="regenerate every table and figure"
     )
     experiments.add_argument("--full", action="store_true", help="paper-scale configuration")
     experiments.add_argument("--synthetic-kernels", type=int, default=None)
@@ -568,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipeline = subparsers.add_parser(
         "pipeline",
-        parents=[common],
+        parents=[common, plan],
         help="run all pipeline stages once, reporting per-stage cache hits and timings",
     )
     pipeline.add_argument("--repositories", type=int, default=100)

@@ -121,12 +121,3 @@ class Corpus:
         train = Corpus(kernels=kernels[:cut], statistics=self.statistics)
         test = Corpus(kernels=kernels[cut:], statistics=self.statistics)
         return train, test
-
-    def sample_kernels(self, count: int, seed: int = 0) -> list[str]:
-        """A random sample of kernels (used as the human pool in the Turing test)."""
-        if not self.kernels:
-            return []
-        rng = random.Random(seed)
-        if count >= len(self.kernels):
-            return list(self.kernels)
-        return rng.sample(self.kernels, count)

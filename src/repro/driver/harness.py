@@ -77,12 +77,6 @@ class KernelMeasurement:
     def oracle(self, platform: str) -> str:
         return self.oracles[platform]
 
-    def speedup_of(self, platform: str, device: str) -> float:
-        """Speedup of choosing *device* over the other device on *platform*."""
-        times = self.runtimes[platform]
-        other = "gpu" if device == "cpu" else "cpu"
-        return times[other] / max(times[device], 1e-12)
-
 
 @dataclass
 class DriverConfig:
@@ -341,22 +335,6 @@ class HostDriver:
             if measurement is not None:
                 measurements.append(measurement)
         return measurements
-
-    def check_useful(self, source: str) -> DynamicCheckResult:
-        """Run only the dynamic checker on *source* (used by the synthesizer).
-
-        The source is compiled through the shimmed frontend cache first and
-        the parsed unit threaded into the checker, so the four differential
-        executions reuse the cached compilation (and its engine artifacts)
-        instead of re-parsing the text.
-        """
-        try:
-            compilation = cached_compile_source(
-                with_shim(source), include_resolver=shim_include_resolver, strict=False
-            )
-        except CompileError:
-            return self._checker.check_source(source)
-        return self._checker.check_source(source, unit=compilation.unit)
 
     # ------------------------------------------------------------------
 

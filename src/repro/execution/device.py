@@ -241,12 +241,6 @@ class Platform:
         times = self.runtimes(profile)
         return "cpu" if times["cpu"] <= times["gpu"] else "gpu"
 
-    def speedup_of_mapping(self, profile: KernelProfile, device: str) -> float:
-        """Speedup of running on *device* relative to the slower choice."""
-        times = self.runtimes(profile)
-        other = "gpu" if device == "cpu" else "cpu"
-        return times[other] / max(times[device], 1e-12)
-
 
 def amd_platform() -> Platform:
     """Core i7-3820 + AMD Tahiti 7970 (the paper's first system)."""

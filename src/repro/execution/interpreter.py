@@ -76,12 +76,6 @@ class ExecutionStats:
             return 0.0
         return self.divergent_branch_sites / self.branch_sites
 
-    @property
-    def operations_per_work_item(self) -> float:
-        if self.work_items == 0:
-            return 0.0
-        return self.dynamic_operations / self.work_items
-
 
 @dataclass
 class ExecutionResult:

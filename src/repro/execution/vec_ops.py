@@ -205,11 +205,6 @@ def to_int_data(kind: str, data, mask):
     return truncated.astype(np.int64)
 
 
-def as_index_data(kind: str, data, mask):
-    """Mirror :func:`repro.execution.ops.as_index` for scalar lane values."""
-    return to_int_data(kind, data, mask)
-
-
 # ---------------------------------------------------------------------------
 # Overflow guards (exact-or-bailout integer arithmetic).
 # ---------------------------------------------------------------------------

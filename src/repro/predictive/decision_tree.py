@@ -162,17 +162,6 @@ class DecisionTreeClassifier:
 
         return measure(self.root)
 
-    @property
-    def node_count(self) -> int:
-        def count(node: TreeNode | None) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return 1 + count(node.left) + count(node.right)
-
-        return count(self.root)
-
     def feature_importances(self) -> list[float]:
         """Total Gini-gain attributed to each feature index, normalized."""
         importances = np.zeros(self.feature_count)

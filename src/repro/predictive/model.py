@@ -66,9 +66,6 @@ class MappingModel:
         """Predicted device ("cpu" or "gpu") for one kernel/dataset."""
         return self.classifier.predict_one(self.features_of(measurement))
 
-    def predict_many(self, measurements: list[KernelMeasurement]) -> list[str]:
-        return [self.predict(m) for m in measurements]
-
     def accuracy(self, measurements: list[KernelMeasurement]) -> float:
         if not measurements:
             return 0.0

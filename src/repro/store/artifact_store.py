@@ -351,11 +351,6 @@ class ArtifactStore:
         with self._lock:
             self._memory.clear()
 
-    def reset_counts(self) -> None:
-        with self._lock:
-            self._hits.clear()
-            self._misses.clear()
-
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------

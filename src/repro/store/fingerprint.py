@@ -70,11 +70,6 @@ SCHEMA_VERSIONS: dict[str, int] = {
     #: A published work-stealing pipeline plan (config + shard count) that
     #: ``repro worker`` instances discover and drain (repro.store.queue).
     "plan": 1,
-    #: Per-kernel static lint records (``KernelVerdict.to_dict()`` lists).
-    #: v1: first registration; the ``specialization`` block now carries
-    #: only ``eligible`` and ``hazard_free``, so the unversioned (0) records
-    #: of the older layout stop matching.
-    "lint-verdicts": 1,
 }
 
 

@@ -1,10 +1,14 @@
-"""Sharding the stage graph: per-range shard stages plus deterministic merges.
+"""The data-parallel stages: per-range computes plus deterministic merges.
 
 The stage graph (:mod:`repro.store.stages`) resolves whole-pipeline
 artifacts — the full mined corpus, the complete kernel batch, every
-measurement.  This module splits the data-parallel stages into **shards**
-so several workers (process-pool workers here, or whole machines pointing
-at one ``REPRO_STORE_DIR``) can fill one store concurrently:
+measurement.  Each data-parallel stage is one :class:`_FanoutSpec` here,
+the stage's only computation: a compute over an index range and a merge of
+range values, resolved by :func:`resolve_stage`.  An unsharded run is the
+merge of one range ``[0, total)`` computed in-process, with no shard entry
+stored.  A sharded run splits the stage into **shards** so several workers
+(process-pool workers here, or whole machines pointing at one
+``REPRO_STORE_DIR``) can fill one store concurrently:
 
 =============  =========================  ==================================
 stage          shard axis                 shard artifact kind
@@ -70,8 +74,9 @@ SHARD_KINDS = (
 class ShardPlan:
     """How a :class:`~repro.store.stages.PipelineRunner` splits stage work.
 
-    ``shards`` is the number of ranges each shardable stage is split into
-    (1 = the unsharded legacy path, byte-for-byte).  ``workers`` is the
+    ``shards`` is the number of ranges each shardable stage is split into;
+    with 1, each stage computes its one range in-process and stores no
+    shard entry.  ``workers`` is the
     process-pool width for dispatching ready fan-out shards; 0 or 1 resolves
     shards in-process (still sharded, still incremental — just sequential).
     ``steal`` switches from static range assignment to the work-stealing
@@ -136,15 +141,15 @@ def resolve_plan(
     import warnings
 
     workers = workers or 0
-    if shards is None:
-        return normalized_plan(1, workers, steal=steal)
-    if shards < 1 or workers < 0:
+    if (shards is not None and shards < 1) or workers < 0:
         # A typo'd sign must not silently sequentialize the run.
         warnings.warn(
             f"clamping shards={shards}/workers={workers} to the valid range",
             RuntimeWarning,
             stacklevel=2,
         )
+    if shards is None:
+        return normalized_plan(1, workers, steal=steal)
     plan = ShardPlan(shards=max(shards, 1), workers=max(workers, 0), steal=steal)
     if plan.workers > 1 and not plan.pooled:
         warnings.warn(
@@ -193,18 +198,25 @@ def _shard_fingerprint(kind: str, parent: str, index: int, shards: int,
 
 
 # ---------------------------------------------------------------------------
-# Fan-out shard specs.  Each knows its total extent, per-shard key and
-# per-shard compute; resolution goes through runner._stage so events,
-# store probing and warm accounting are identical to whole stages.
+# Fan-out shard specs.  Each is the only computation of its stage: it knows
+# its total extent, per-shard key, per-range compute and merge; resolution
+# goes through runner._stage so events, store probing and warm accounting
+# are identical to whole stages.
 # ---------------------------------------------------------------------------
 
 
 class _FanoutSpec:
-    """One shardable fan-out stage (mine / preprocess / execute sides)."""
+    """One data-parallel stage (mine / preprocess / sample / execute sides).
+
+    An unsharded run is the merge of one in-process range ``[0, total)``;
+    a sharded run merges the per-range shard artifacts (see
+    :func:`resolve_stage`).
+    """
 
     name: str  # registry key, also used to route pool workers
     stage: str  # StageEvent stage name (phase accounting)
     kind: str  # shard artifact kind
+    whole_kind: str  # whole-pipeline artifact kind
 
     def total(self, cfg) -> int:
         raise NotImplementedError
@@ -226,6 +238,15 @@ class _FanoutSpec:
 
     def compute(self, runner, cfg, index: int, shards: int):
         raise NotImplementedError
+
+    def merge(self, runner, cfg, values: list):
+        """The whole-pipeline artifact from every range's value, in order."""
+        return [item for value in values for item in value]
+
+    def prepare(self, runner, cfg) -> None:
+        """Resolve upstream inputs in the parent before a fan-out, so pool
+        workers (whose shard computes re-resolve them) hit the shared store
+        instead of each recomputing them privately."""
 
     def resolve(
         self,
@@ -263,6 +284,7 @@ class _MineSpec(_FanoutSpec):
     name = "mine"
     stage = "mine"
     kind = "mine-shard"
+    whole_kind = "mine"
 
     def total(self, cfg) -> int:
         return cfg.repository_count
@@ -283,11 +305,12 @@ class _MineSpec(_FanoutSpec):
 class _CorpusSpec(_FanoutSpec):
     """Per-repository-range preprocessing: the shard artifact is the list of
     per-file outcomes (the preprocessing pipeline's unit of work), so the
-    merge can fold statistics exactly as an unsharded run does."""
+    merge folds statistics exactly as one whole preprocessing run does."""
 
     name = "corpus"
     stage = "preprocess"
     kind = "corpus-shard"
+    whole_kind = "corpus"
 
     def total(self, cfg) -> int:
         return cfg.repository_count
@@ -301,7 +324,12 @@ class _CorpusSpec(_FanoutSpec):
         from repro.preprocess.pipeline import PreprocessingPipeline
         from repro.store.stages import detached
 
-        texts = _MINE.resolve(runner, cfg, index, shards)
+        # One range reads the whole mine artifact, so an unsharded run
+        # stores no mine-shard entry.
+        if shards == 1:
+            texts = runner.content_files(cfg)
+        else:
+            texts = _MINE.resolve(runner, cfg, index, shards)
         pipeline = PreprocessingPipeline(
             use_shim=cfg.use_shim,
             rename_identifiers=cfg.rename_identifiers,
@@ -313,11 +341,26 @@ class _CorpusSpec(_FanoutSpec):
         # state, like the execute/sample shard artifacts.
         return [detached(outcome) for outcome in pipeline.outcomes(texts)]
 
+    def merge(self, runner, cfg, values: list):
+        """Fold the concatenated per-file outcomes, then deduplicate — the
+        corpus one preprocessing run over every mined text builds."""
+        from repro.corpus.corpus import Corpus
+        from repro.preprocess.pipeline import fold_outcomes
+
+        result = fold_outcomes(super().merge(runner, cfg, values))
+        # No raw mined texts: the mine artifact already holds them (no
+        # downstream stage reads Corpus.content_files).
+        return Corpus(
+            kernels=Corpus._deduplicate(result.corpus_texts),
+            statistics=result.statistics,
+        )
+
 
 class _SuiteExecutionSpec(_FanoutSpec):
     name = "suite-exec"
     stage = "execute"
     kind = "suite-measurements-shard"
+    whole_kind = "suite-measurements"
 
     def total(self, cfg) -> int:
         return len(self._flat_benchmarks(cfg))
@@ -347,14 +390,34 @@ class _SuiteExecutionSpec(_FanoutSpec):
             for suite_name, benchmark in self._flat_benchmarks(cfg)[start:stop]
         ]
 
+    def merge(self, runner, cfg, values: list):
+        from repro.store.stages import SuiteMeasurementSet, _selected_suites
+
+        by_benchmark = {
+            name: measurements for value in values for _, name, measurements in value
+        }
+        out = SuiteMeasurementSet()
+        # Rebuild in suite/benchmark declaration order so dict insertion
+        # orders never depend on the shard split (bit-identity).
+        for suite in _selected_suites(cfg):
+            suite_measurements = []
+            for benchmark in suite.benchmarks:
+                measurements = by_benchmark.get(benchmark.qualified_name, [])
+                if measurements:
+                    out.benchmark_measurements[benchmark.qualified_name] = measurements
+                    suite_measurements.extend(measurements)
+            out.suite_measurements[suite.name] = suite_measurements
+        return out
+
 
 class _SyntheticExecutionSpec(_FanoutSpec):
     name = "synth-exec"
     stage = "execute"
     kind = "synthetic-measurements-shard"
+    whole_kind = "synthetic-measurements"
 
     def total(self, cfg) -> int:
-        return cfg.synthetic_kernel_count
+        return _SAMPLE.total(cfg)
 
     def parent_fingerprint(self, cfg) -> str:
         from repro.store import stages
@@ -362,16 +425,27 @@ class _SyntheticExecutionSpec(_FanoutSpec):
         return stages.synthetic_execution_fingerprint(cfg)
 
     def compute(self, runner, cfg, index: int, shards: int):
+        from repro.store.stages import detached
+
         # Ranges are over the *generated* kernel list (which may fall short
         # of the requested count on sampler exhaustion); a shard past the
-        # end measures nothing.  The unsharded execute stage measures
-        # through the same helper, so names, dataset scales and the lint
-        # filter see global kernel indices either way.
+        # end measures nothing.  Names and dataset scales follow the global
+        # kernel index.
         synthesis = runner.synthesis(cfg)
         ranges = shard_ranges(len(synthesis.kernels), shards)
         if index >= len(ranges):
             return []
-        return runner._measure_synthetic(cfg, synthesis, *ranges[index])
+        indices = range(*ranges[index])
+        scales = cfg.dataset_scales
+        measured = runner._make_driver(cfg).measure_many(
+            [synthesis.kernels[i].source for i in indices],
+            names=[f"clgen.{i}" for i in indices],
+            dataset_scales=[scales[i % len(scales)] for i in indices],
+        )
+        return [detached(measurement) for measurement in measured]
+
+    def prepare(self, runner, cfg) -> None:
+        runner.synthesis(cfg)
 
 
 class _SampleSpec(_FanoutSpec):
@@ -389,8 +463,15 @@ class _SampleSpec(_FanoutSpec):
     name = "sample"
     stage = "sample"
     kind = "synthesis-shard"
+    whole_kind = "synthesis"
 
     def total(self, cfg) -> int:
+        from repro.errors import SynthesisError
+
+        # Every path reads the extent before any work, so a config error
+        # never caches an empty artifact.
+        if cfg.synthetic_kernel_count <= 0:
+            raise SynthesisError("kernel count must be positive")
         return cfg.synthetic_kernel_count
 
     def parent_fingerprint(self, cfg) -> str:
@@ -413,6 +494,16 @@ class _SampleSpec(_FanoutSpec):
         # in-process object sharing, like every other shard artifact.
         return [detached(entry) for entry in entries]
 
+    def merge(self, runner, cfg, values: list):
+        from repro.synthesis.generator import merge_stream_results
+
+        return merge_stream_results(
+            super().merge(runner, cfg, values), requested=cfg.synthetic_kernel_count
+        )
+
+    def prepare(self, runner, cfg) -> None:
+        runner.clgen(cfg)
+
 
 _MINE = _MineSpec()
 _CORPUS = _CorpusSpec()
@@ -425,37 +516,58 @@ _SPECS = {
 }
 
 
-def sharded_synthesis(runner, cfg):
-    """Resolve the ``sample`` stage by kernel-stream-range shards and merge."""
-    from repro.errors import SynthesisError
-    from repro.store import stages
-    from repro.synthesis.generator import merge_stream_results
+def resolve_stage(runner, cfg, spec: _FanoutSpec):
+    """Serve *spec*'s whole-pipeline artifact, or compute and merge it.
 
-    if cfg.synthetic_kernel_count <= 0:
-        # Same contract as the unsharded generate_kernels.
-        raise SynthesisError("kernel count must be positive")
+    The artifact is stored under the **unsharded** fingerprint, so every
+    plan addresses (and shares) the same whole-pipeline entries, and a
+    warm repeat serves it without touching shards.  Resolution (probe,
+    events, exclusive-seconds accounting) is the ordinary stage machinery.
+
+    An unsharded plan merges one range ``[0, total)`` computed in-process
+    and stores no shard entry.  A sharded plan resolves every shard — in
+    process, through the worker pool, or through the steal drain — and
+    merges them.  In steal mode the shard drain runs **before** the merge
+    claim is contested: every worker helps drain the shard queue, and only
+    then does exactly one of them claim the (cheap, pure-recombination)
+    merge while the rest await its store entry.  Without the pre-drain, the
+    merge claim's single winner would resolve every shard alone while the
+    other workers idled — the exact straggler pattern this scheduler
+    replaces.
+    """
+    from repro.store.faults import fault_point
+
+    key = spec.parent_fingerprint(cfg)
+    if not runner.plan.sharded:
+        return runner._stage(
+            spec.stage,
+            spec.whole_kind,
+            key,
+            lambda: spec.merge(runner, cfg, [spec.compute(runner, cfg, 0, 1)]),
+        )
+
+    def fan_out() -> list:
+        keys = spec.keys(cfg, runner.plan.shards)  # reads the extent before any work
+        spec.prepare(runner, cfg)
+        return _resolve_fanout(runner, cfg, spec, keys)
+
+    if runner.stealing and not runner.has_entry(spec.whole_kind, key):
+        fan_out()
 
     def merge():
-        # Resolve the synthesizer in the parent before fanning out, so pool
-        # workers (whose shard computes rebuild it from the store) hit the
-        # model/corpus artifacts instead of each re-training privately.
-        runner.clgen(cfg)
-        shard_values = _resolve_fanout(runner, cfg, _SAMPLE)
-        entries = [entry for value in shard_values for entry in value]
-        return merge_stream_results(entries, requested=cfg.synthetic_kernel_count)
+        value = spec.merge(runner, cfg, fan_out())
+        # The narrowest crash window in the protocol: every shard landed,
+        # the merge is computed, and its put has not happened yet.  A death
+        # here must leave a steal-back winner that re-runs the merge to a
+        # byte-identical whole-pipeline entry.
+        fault_point("crash_pre_merge", kind=spec.whole_kind)
+        return value
 
-    def drain():
-        runner.clgen(cfg)
-        _resolve_fanout(runner, cfg, _SAMPLE)
-
-    return _merged(
-        runner, "sample", "synthesis", stages.synthesis_fingerprint(cfg), merge,
-        drain=drain,
-    )
+    return runner._stage(spec.stage, spec.whole_kind, key, merge)
 
 
 # ---------------------------------------------------------------------------
-# Fan-out resolution (with the process pool) and merges.
+# Fan-out resolution: in-process, the process pool, or the steal drain.
 # ---------------------------------------------------------------------------
 
 
@@ -479,8 +591,9 @@ def _shard_worker(task):
     return index, value, runner.events
 
 
-def _resolve_fanout(runner, cfg, spec: _FanoutSpec) -> list:
-    """All shard values of *spec*, in shard order.
+def _resolve_fanout(runner, cfg, spec: _FanoutSpec, keys: list[str]) -> list:
+    """All shard values of *spec* (shard *keys* at the plan's shard count),
+    in shard order.
 
     Warm shards are served (and logged as hits) from the parent's store;
     the remaining cold shards are computed — through a process pool when the
@@ -492,9 +605,8 @@ def _resolve_fanout(runner, cfg, spec: _FanoutSpec) -> list:
     queue: see :func:`_drain_fanout`.
     """
     if runner.stealing:
-        return _drain_fanout(runner, cfg, spec)
+        return _drain_fanout(runner, cfg, spec, keys)
     shards = runner.plan.shards
-    keys = spec.keys(cfg, shards)
     values: list = [None] * len(keys)
     pending: list[int] = []
     for index, key in enumerate(keys):
@@ -583,7 +695,7 @@ def _resolve_fanout_pool(runner, cfg, spec, pending: list[int], values: list) ->
                 runner._record_event(event.stage, event.fingerprint, event.hit, event.seconds)
 
 
-def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
+def _drain_fanout(runner, cfg, spec: _FanoutSpec, keys: list[str]) -> list:
     """Steal-mode resolution of *spec*: claim, compute, or await each shard.
 
     Every participating runner (this one and any ``repro worker`` process
@@ -605,7 +717,6 @@ def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
     from repro.store.faults import fault_point
 
     shards = runner.plan.shards
-    keys = spec.keys(cfg, shards)
     values: list = [None] * len(keys)
     pending = set(range(len(keys)))
 
@@ -653,156 +764,3 @@ def _drain_fanout(runner, cfg, spec: _FanoutSpec) -> list:
         if not sweep() and pending:
             time.sleep(runner.queue().poll_seconds)
     return values
-
-
-def _merged(runner, stage: str, kind: str, key: str, combine, drain=None):
-    """Serve the whole-pipeline artifact, or merge its shards into it.
-
-    The merged artifact is stored under the **unsharded** fingerprint, so
-    sharded and unsharded runs address (and share) the same whole-pipeline
-    entries, and a warm repeat serves the merge without touching shards.
-    Resolution (probe, events, exclusive-seconds accounting) is the
-    ordinary stage machinery.
-
-    In steal mode, *drain* (the stage's shard fan-out) runs **before** the
-    merge claim is contested: every worker helps drain the shard queue, and
-    only then does exactly one of them claim the (cheap, pure-recombination)
-    merge while the rest await its store entry.  Without the pre-drain, the
-    merge claim's single winner would resolve every shard alone while the
-    other workers idled — the exact straggler pattern this scheduler
-    replaces.
-    """
-    from repro.store.faults import fault_point
-
-    if drain is not None and runner.stealing and not runner.has_entry(kind, key):
-        drain()
-
-    def combine_with_faults():
-        value = combine()
-        # The narrowest crash window in the protocol: every shard landed,
-        # the merge is computed, and its put has not happened yet.  A death
-        # here must leave a steal-back winner that re-runs the merge to a
-        # byte-identical whole-pipeline entry.
-        fault_point("crash_pre_merge", kind=kind)
-        return value
-
-    return runner._stage(stage, kind, key, combine_with_faults)
-
-
-def sharded_mine(runner, cfg) -> list[str]:
-    """Resolve the ``mine`` stage by repository-range shards and merge."""
-    from repro.store import stages
-
-    def merge() -> list[str]:
-        shard_values = _resolve_fanout(runner, cfg, _MINE)
-        return [text for value in shard_values for text in value]
-
-    return _merged(
-        runner,
-        "mine",
-        "mine",
-        stages.mine_fingerprint(cfg),
-        merge,
-        drain=lambda: _resolve_fanout(runner, cfg, _MINE),
-    )
-
-
-def sharded_corpus(runner, cfg):
-    """Resolve the ``preprocess`` stage by repository-range shards and merge.
-
-    The merge folds the concatenated per-file outcomes with the same fold an
-    unsharded preprocessing run uses, then deduplicates — bit-identical to
-    ``Corpus.from_content_files`` over the whole mined text list.
-    """
-    from repro.corpus.corpus import Corpus
-    from repro.preprocess.pipeline import fold_outcomes
-    from repro.store import stages
-
-    def merge() -> Corpus:
-        shard_values = _resolve_fanout(runner, cfg, _CORPUS)
-        outcomes = [outcome for value in shard_values for outcome in value]
-        result = fold_outcomes(outcomes)
-        return Corpus(
-            kernels=Corpus._deduplicate(result.corpus_texts),
-            statistics=result.statistics,
-        )
-
-    return _merged(
-        runner,
-        "preprocess",
-        "corpus",
-        stages.corpus_fingerprint(cfg),
-        merge,
-        drain=lambda: _resolve_fanout(runner, cfg, _CORPUS),
-    )
-
-
-def sharded_suite_measurements(runner, cfg):
-    """Resolve the suite side of ``execute`` by benchmark-range shards."""
-    from repro.store import stages
-    from repro.store.stages import SuiteMeasurementSet, _selected_suites
-
-    def merge() -> SuiteMeasurementSet:
-        shard_values = _resolve_fanout(runner, cfg, _SUITE_EXEC)
-        flat = [entry for value in shard_values for entry in value]
-        by_benchmark = {name: measurements for _, name, measurements in flat}
-        out = SuiteMeasurementSet()
-        # Rebuild in suite/benchmark declaration order so dict insertion
-        # orders match the unsharded compute exactly (bit-identity).
-        for suite in _selected_suites(cfg):
-            suite_measurements = []
-            for benchmark in suite.benchmarks:
-                measurements = by_benchmark.get(benchmark.qualified_name, [])
-                if measurements:
-                    out.benchmark_measurements[benchmark.qualified_name] = measurements
-                    suite_measurements.extend(measurements)
-            out.suite_measurements[suite.name] = suite_measurements
-        return out
-
-    return _merged(
-        runner,
-        "execute",
-        "suite-measurements",
-        stages.suite_execution_fingerprint(cfg),
-        merge,
-        drain=lambda: _resolve_fanout(runner, cfg, _SUITE_EXEC),
-    )
-
-
-def sharded_synthetic_measurements(runner, cfg):
-    """Resolve the synthetic side of ``execute`` by kernel-range shards."""
-    from repro.errors import SynthesisError
-    from repro.store import stages
-
-    if cfg.synthetic_kernel_count <= 0:
-        # The unsharded path raises from inside its synthesis resolution;
-        # with zero shards that resolution would never run, and a config
-        # error must not be swallowed into an empty cached artifact.
-        raise SynthesisError("kernel count must be positive")
-
-    def upstream():
-        # Resolve the kernel batch (and, when filtering, its lint verdicts)
-        # in the parent before fanning out: they land in the shared store,
-        # so pool workers, whose shard computes re-resolve them, hit
-        # instead of each racing to recompute them.
-        runner.synthesis(cfg)
-        if cfg.lint_filter:
-            runner.lint_verdicts(cfg)
-
-    def merge():
-        upstream()
-        shard_values = _resolve_fanout(runner, cfg, _SYNTH_EXEC)
-        return [measurement for value in shard_values for measurement in value]
-
-    def drain():
-        upstream()
-        _resolve_fanout(runner, cfg, _SYNTH_EXEC)
-
-    return _merged(
-        runner,
-        "execute",
-        "synthetic-measurements",
-        stages.synthetic_execution_fingerprint(cfg),
-        merge,
-        drain=drain,
-    )

@@ -18,7 +18,10 @@ stage          artifact kind               artifact value
 
 Each stage declares a :func:`~repro.store.fingerprint.fingerprint` over its
 configuration plus the fingerprints of its upstream artifacts, and persists
-its output to the :class:`~repro.store.artifact_store.ArtifactStore`.
+its output to the :class:`~repro.store.artifact_store.ArtifactStore`.  The
+data-parallel stages (everything but ``train``) compute and merge through
+their shard spec in :mod:`repro.store.shards`, sharded or not; the runner's
+stage methods only delegate.
 Re-running any entry point reuses every stage whose fingerprint still
 matches and recomputes only downstream of a change; a downstream hit
 short-circuits its entire upstream chain (a warm ``sample`` never re-mines
@@ -43,7 +46,16 @@ from repro.model.lstm import LSTMConfig
 from repro.model.trainer import ModelTrainer, TrainedModel, TrainerConfig
 from repro.store.artifact_store import ArtifactStore, resolve_store
 from repro.store.fingerprint import fingerprint, text_digest
-from repro.store.shards import ShardPlan, normalized_plan
+from repro.store.shards import (
+    _CORPUS,
+    _MINE,
+    _SAMPLE,
+    _SUITE_EXEC,
+    _SYNTH_EXEC,
+    ShardPlan,
+    normalized_plan,
+    resolve_stage,
+)
 from repro.suites.registry import all_suites
 from repro.synthesis.generator import CLgen, SynthesisResult
 from repro.synthesis.sampler import SamplerConfig
@@ -94,12 +106,6 @@ class PipelineConfig:
     payload_seed: int = 0
     dataset_scales: tuple[float, ...] = (4.0, 16.0, 64.0, 256.0, 1024.0)
     suites: tuple[str, ...] | None = None
-    #: Pre-execution static lint filter: when on, synthesized kernels the
-    #: analyzer proves bailout-certain are dropped before measurement (their
-    #: verdicts persist in the ``lint-verdicts`` artifact either way).  Joins
-    #: the execute fingerprint only when enabled, so every existing
-    #: default-config artifact keeps its address (the ``lstm`` pattern).
-    lint_filter: bool = False
 
     @classmethod
     def from_experiment(cls, config, suites=None, count: int | None = None) -> "PipelineConfig":
@@ -218,22 +224,15 @@ def suite_execution_fingerprint(cfg: PipelineConfig) -> str:
     )
 
 
-def lint_fingerprint(cfg: PipelineConfig) -> str:
-    """Address of the static-analyzer verdicts for the synthesized batch."""
-    return fingerprint("lint-verdicts", {"synthesis": synthesis_fingerprint(cfg)})
-
-
 def synthetic_execution_fingerprint(cfg: PipelineConfig) -> str:
-    payload = {
-        "synthesis": synthesis_fingerprint(cfg),
-        "driver": _driver_payload(cfg),
-        "dataset_scales": list(cfg.dataset_scales),
-    }
-    if cfg.lint_filter:
-        # Only when enabled: filtered and unfiltered runs must never share
-        # a measurement artifact, but default-config addresses stay stable.
-        payload["lint_filter"] = True
-    return fingerprint("synthetic-measurements", payload)
+    return fingerprint(
+        "synthetic-measurements",
+        {
+            "synthesis": synthesis_fingerprint(cfg),
+            "driver": _driver_payload(cfg),
+            "dataset_scales": list(cfg.dataset_scales),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +308,11 @@ class PipelineRunner:
     wall-clock cost (exclusive of upstream stages), which is what the CLI,
     the profile script and the warm-run tests report.
 
-    With ``shards > 1`` the data-parallel stages (mine, preprocess, sample,
-    both execute sides) resolve as per-range shard artifacts plus a
-    deterministic merge (see :mod:`repro.store.shards`); ``workers > 1``
-    dispatches ready fan-out shards to a process pool.  With ``steal=True``
+    The data-parallel stages (mine, preprocess, sample, both execute sides)
+    resolve through their shard spec (see :mod:`repro.store.shards`): one
+    in-process range when unsharded, per-range shard artifacts plus the
+    same merge with ``shards > 1``; ``workers > 1`` dispatches ready
+    fan-out shards to a process pool.  With ``steal=True``
     (and an on-disk store) every stage resolution is claimed through the
     work-stealing queue (:mod:`repro.store.queue`) before computing, so any
     number of runners — this process and separate ``repro worker``
@@ -413,18 +413,7 @@ class PipelineRunner:
 
     def content_files(self, cfg: PipelineConfig) -> list[str]:
         """Stage ``mine``: the mined content-file texts."""
-        if self.plan.sharded:
-            from repro.store import shards as shardlib
-
-            return shardlib.sharded_mine(self, cfg)
-
-        def compute() -> list[str]:
-            from repro.corpus.github import GitHubMiner
-
-            mining = GitHubMiner(seed=cfg.seed).mine(cfg.repository_count)
-            return [content_file.text for content_file in mining.content_files]
-
-        return self._stage("mine", "mine", mine_fingerprint(cfg), compute)
+        return resolve_stage(self, cfg, _MINE)
 
     def corpus(self, cfg: PipelineConfig) -> Corpus:
         """Stage ``preprocess``: the normalized language corpus."""
@@ -436,28 +425,7 @@ class PipelineRunner:
             # the pre-stage-graph code shared one Corpus object around).
             self.events.append(StageEvent("preprocess", key, True, 0.0))
             return live
-
-        if self.plan.sharded:
-            from repro.store import shards as shardlib
-
-            value = shardlib.sharded_corpus(self, cfg)
-            self._keep_live(("corpus", key), value)
-            return value
-
-        def compute() -> Corpus:
-            texts = self.content_files(cfg)
-            built = Corpus.from_content_files(
-                texts,
-                use_shim=cfg.use_shim,
-                rename_identifiers=cfg.rename_identifiers,
-                min_static_instructions=cfg.min_static_instructions,
-            )
-            # Drop the raw mined texts: the mine artifact already holds them,
-            # and keeping them here would double the size of every corpus
-            # entry (no downstream stage reads Corpus.content_files).
-            return Corpus(kernels=built.kernels, statistics=built.statistics)
-
-        value = self._stage("preprocess", "corpus", key, compute)
+        value = resolve_stage(self, cfg, _CORPUS)
         self._keep_live(("corpus", key), value)
         return value
 
@@ -522,134 +490,26 @@ class PipelineRunner:
             min_static_instructions=cfg.min_static_instructions,
         )
         # Tag the synthesizer with the model artifact it embeds, so callers
-        # (experiments/common.py) can tell a stage-graph product from an
-        # ad-hoc synthesizer that must bypass the store.
+        # (experiments/common.py) can refuse an ad-hoc synthesizer whose
+        # model is not this config's.
         synthesizer.stage_model_fingerprint = model_fingerprint(cfg)
         return synthesizer
 
     def synthesis(self, cfg: PipelineConfig) -> SynthesisResult:
         """Stage ``sample``: the synthetic kernel batch."""
-        if self.plan.sharded:
-            from repro.store import shards as shardlib
-
-            return shardlib.sharded_synthesis(self, cfg)
-
-        def compute() -> SynthesisResult:
-            from repro.errors import SynthesisError
-            from repro.synthesis.generator import merge_stream_results
-
-            if cfg.synthetic_kernel_count <= 0:
-                # Same contract as generate_kernels (and the sharded path):
-                # a config error must never cache an empty artifact.
-                raise SynthesisError("kernel count must be positive")
-            synthesizer = self.clgen(cfg)
-            # Detach each per-stream entry (see detached()) before merging,
-            # exactly as the shard computes do, so the merged artifact's
-            # bytes do not depend on in-process object sharing — sharded
-            # merges must reproduce them bit-identically from separately
-            # stored shards.
-            entries = [
-                detached(entry)
-                for entry in synthesizer.generate_kernel_range(
-                    0,
-                    cfg.synthetic_kernel_count,
-                    seed=cfg.sample_seed,
-                    max_attempts_per_kernel=cfg.max_attempts_per_kernel,
-                )
-            ]
-            return merge_stream_results(entries, requested=cfg.synthetic_kernel_count)
-
-        return self._stage("sample", "synthesis", synthesis_fingerprint(cfg), compute)
+        return resolve_stage(self, cfg, _SAMPLE)
 
     def suite_measurements(self, cfg: PipelineConfig) -> SuiteMeasurementSet:
         """Stage ``execute`` (suite side): measurements of every benchmark."""
-        if self.plan.sharded:
-            from repro.store import shards as shardlib
-
-            return shardlib.sharded_suite_measurements(self, cfg)
-
-        def compute() -> SuiteMeasurementSet:
-            driver = self._make_driver(cfg)
-            out = SuiteMeasurementSet()
-            for suite in _selected_suites(cfg):
-                suite_measurements: list[KernelMeasurement] = []
-                for benchmark in suite.benchmarks:
-                    measurements = detached(driver.measure_benchmark(benchmark))
-                    if measurements:
-                        out.benchmark_measurements[benchmark.qualified_name] = measurements
-                        suite_measurements.extend(measurements)
-                out.suite_measurements[suite.name] = suite_measurements
-            return out
-
-        return self._stage(
-            "execute", "suite-measurements", suite_execution_fingerprint(cfg), compute
-        )
-
-    def lint_verdicts(self, cfg: PipelineConfig) -> list[dict]:
-        """Stage ``execute`` (lint side): static verdicts for the kernel batch.
-
-        One JSON-encodable record per synthesized kernel, keyed off the
-        synthesis fingerprint — the verdicts are a pure function of the
-        kernel sources, so they are shared by filtered and unfiltered
-        measurement runs.
-        """
-
-        def compute() -> list[dict]:
-            from repro.analysis.lint import lint_source
-
-            synthesis = self.synthesis(cfg)
-            return [
-                lint_source(kernel.source, name=f"clgen.{index}").to_dict()
-                for index, kernel in enumerate(synthesis.kernels)
-            ]
-
-        return self._stage("execute", "lint-verdicts", lint_fingerprint(cfg), compute)
+        return resolve_stage(self, cfg, _SUITE_EXEC)
 
     def synthetic_measurements(self, cfg: PipelineConfig) -> list[KernelMeasurement]:
         """Stage ``execute`` (synthetic side): measurements of the kernel batch."""
-        if self.plan.sharded:
-            from repro.store import shards as shardlib
-
-            return shardlib.sharded_synthetic_measurements(self, cfg)
-
-        def compute() -> list[KernelMeasurement]:
-            synthesis = self.synthesis(cfg)
-            return self._measure_synthetic(cfg, synthesis, 0, len(synthesis.kernels))
-
-        return self._stage(
-            "execute", "synthetic-measurements", synthetic_execution_fingerprint(cfg), compute
-        )
+        return resolve_stage(self, cfg, _SYNTH_EXEC)
 
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
-
-    def _measure_synthetic(
-        self, cfg: PipelineConfig, synthesis: SynthesisResult, start: int, stop: int
-    ) -> list[KernelMeasurement]:
-        """Measure kernels ``start:stop`` of *synthesis* — the whole batch
-        (unsharded) or one shard's range.
-
-        Names and dataset scales follow the global kernel index.  With
-        ``cfg.lint_filter`` the analyzer's bailout-certain kernels are
-        dropped before measurement, so a filtered run is the unfiltered run
-        minus the doomed rows, sharded or not.
-        """
-        indices = range(start, stop)
-        if cfg.lint_filter:
-            doomed = {
-                record["name"]
-                for record in self.lint_verdicts(cfg)
-                if record["classification"] == "bailout"
-            }
-            indices = [index for index in indices if f"clgen.{index}" not in doomed]
-        scales = cfg.dataset_scales
-        measured = self._make_driver(cfg).measure_many(
-            [synthesis.kernels[index].source for index in indices],
-            names=[f"clgen.{index}" for index in indices],
-            dataset_scales=[scales[index % len(scales)] for index in indices],
-        )
-        return [detached(measurement) for measurement in measured]
 
     def _make_driver(self, cfg: PipelineConfig) -> HostDriver:
         return HostDriver(

@@ -206,103 +206,3 @@ class TestAnalysisFeatureColumns:
         assert features.race_sites == 0
         assert features.bailout_class == 0
 
-
-class TestLintFilterStage:
-    @staticmethod
-    def _config(**overrides):
-        from repro.store.stages import PipelineConfig
-
-        return PipelineConfig(
-            repository_count=12,
-            seed=3,
-            synthetic_kernel_count=4,
-            executed_global_size=32,
-            local_size=16,
-            payload_seed=3,
-            suites=("NPB",),
-            **overrides,
-        )
-
-    def test_fingerprint_stable_unless_enabled(self):
-        import dataclasses
-
-        from repro.store.stages import synthetic_execution_fingerprint
-
-        base = self._config()
-        assert synthetic_execution_fingerprint(base) == synthetic_execution_fingerprint(
-            dataclasses.replace(base)
-        )
-        assert synthetic_execution_fingerprint(base) != synthetic_execution_fingerprint(
-            dataclasses.replace(base, lint_filter=True)
-        )
-
-    def test_lint_verdicts_persist_and_filter_measurements(self):
-        from repro.store.stages import PipelineRunner
-
-        runner = PipelineRunner()
-        config = self._config(lint_filter=True)
-        verdicts = runner.lint_verdicts(config)
-        synthesis = runner.synthesis(config)
-        assert len(verdicts) == len(synthesis.kernels)
-        assert all("classification" in record for record in verdicts)
-
-        measurements = runner.synthetic_measurements(config)
-        doomed = {
-            record["name"]
-            for record in verdicts
-            if record["classification"] == "bailout"
-        }
-        measured_names = {measurement.name for measurement in measurements}
-        assert measured_names.isdisjoint(doomed)
-        expected = {
-            record["name"] for record in verdicts if record["name"] not in doomed
-        }
-        # Kernels that fail to execute are dropped by the driver; the filter
-        # must only ever remove doomed rows, never add names.
-        assert measured_names <= expected
-
-    def test_sharded_filtered_run_keeps_its_shards(self, tmp_path, monkeypatch):
-        """The lint filter keeps the shard plan: a sharded filtered run stores
-        one measurement entry per shard, and its merge is byte-equal to the
-        unsharded filtered run's."""
-        from repro.store.artifact_store import ArtifactStore
-        from repro.store.stages import PipelineRunner, synthetic_execution_fingerprint
-
-        verdicts = PipelineRunner.lint_verdicts
-
-        def one_doomed(runner, cfg):
-            records = [dict(record) for record in verdicts(runner, cfg)]
-            records[1]["classification"] = "bailout"
-            return records
-
-        monkeypatch.setattr(PipelineRunner, "lint_verdicts", one_doomed)
-        config = self._config(lint_filter=True)
-        key = synthetic_execution_fingerprint(config)
-        entries = {}
-        for shards in (1, 3):
-            store = ArtifactStore(directory=tmp_path / f"store-{shards}")
-            measured = PipelineRunner(store=store, shards=shards).synthetic_measurements(
-                config
-            )
-            assert [m.name for m in measured] == ["clgen.0", "clgen.2", "clgen.3"]
-            entries[shards] = store.entry_path("synthetic-measurements", key).read_bytes()
-            shard_entries = store.stats().kinds.get("synthetic-measurements-shard")
-            assert (shard_entries or {}).get("entries", 0) == (3 if shards == 3 else 0)
-        assert entries[3] == entries[1]
-
-    def test_every_stored_kind_has_a_schema_version(self, tmp_path):
-        """A kind missing from SCHEMA_VERSIONS is stored at schema 0, where
-        no version bump can ever invalidate it."""
-        from repro.store.artifact_store import ArtifactStore
-        from repro.store.fingerprint import SCHEMA_VERSIONS
-        from repro.store.stages import PipelineRunner
-
-        config = self._config(lint_filter=True)
-        for shards in (1, 3):
-            store = ArtifactStore(directory=tmp_path / f"store-{shards}")
-            runner = PipelineRunner(store=store, shards=shards)
-            runner.suite_measurements(config)
-            runner.synthetic_measurements(config)
-            kinds = set(store.stats().kinds)
-            assert "lint-verdicts" in kinds, shards
-            assert kinds <= set(SCHEMA_VERSIONS), (shards, kinds - set(SCHEMA_VERSIONS))

@@ -20,6 +20,7 @@ import pytest
 from repro.model.lstm import LSTMConfig
 from repro.store.artifact_store import ArtifactStore
 from repro.store.shards import (
+    SHARD_KINDS,
     ShardPlan,
     _CORPUS,
     _MINE,
@@ -130,6 +131,13 @@ class TestShardRanges:
         assert resolve_plan(None, 0) == ShardPlan(shards=1, workers=0)
         assert resolve_plan(None, None) == ShardPlan(shards=1, workers=0)
 
+    def test_negative_workers_warn_with_or_without_shards(self):
+        # A typo'd sign is clamped loudly whether or not --shards was given.
+        for shards in (None, 2):
+            with pytest.warns(RuntimeWarning, match="clamping"):
+                plan = resolve_plan(shards, -3)
+            assert plan == ShardPlan(shards=shards or 1, workers=0)
+
     def test_steal_refuses_a_process_pool(self, tmp_path, capsys):
         # Steal mode takes its width from `repro worker` processes; a pool
         # of its own is refused by the plan, and by the CLI as a usage
@@ -182,6 +190,10 @@ class TestShardedBitIdentity:
                 twin = sharded_dir / kind / entry.parent.name / entry.name
                 assert twin.exists(), f"{kind}: sharded run missed key {entry.name}"
                 assert entry.read_bytes() == twin.read_bytes(), kind
+        # The unsharded run merges one in-process range: no shard entry.
+        for kind in SHARD_KINDS:
+            assert list((sharded_dir / kind).glob("*/*.pkl")), kind
+            assert not list((plain_dir / kind).glob("*/*.pkl")), kind
 
     def test_wavefront_and_sequential_sample_entries_identical(self, tmp_path):
         """The sample stage's two execution shapes must leave byte-identical
@@ -275,6 +287,21 @@ class TestShardedBitIdentity:
         # not as a truncated batch (generated + failed streams + merge
         # duplicates account for every position).
         assert plain.statistics.attempts == 8  # one attempt per stream
+
+
+def test_every_stored_kind_has_a_schema_version(tmp_path):
+    """A kind missing from SCHEMA_VERSIONS is stored at schema 0, where
+    no version bump can ever invalidate it."""
+    from repro.store.fingerprint import SCHEMA_VERSIONS
+
+    cfg = tiny_config()
+    for shards in (1, SHARDS):
+        store = ArtifactStore(directory=tmp_path / f"store-{shards}")
+        runner = PipelineRunner(store=store, shards=shards)
+        runner.suite_measurements(cfg)
+        runner.synthetic_measurements(cfg)
+        kinds = set(store.stats().kinds)
+        assert kinds <= set(SCHEMA_VERSIONS), (shards, kinds - set(SCHEMA_VERSIONS))
 
 
 class TestMergeDeterminism:

@@ -353,6 +353,20 @@ class TestStatsAndGC:
 
         assert main(["store", "gc", "--cache-dir", str(tmp_path / "store")]) == 2
 
+    def test_cli_store_commands_refuse_shard_flags(self, tmp_path, capsys):
+        import pytest as _pytest
+
+        from repro.cli import main
+
+        # stats and gc never build a runner, so a shard plan is a usage
+        # error rather than a flag silently ignored.
+        for command in (["stats"], ["gc", "--max-bytes", "0"]):
+            with _pytest.raises(SystemExit) as exit_info:
+                main(["store", *command, "--cache-dir", str(tmp_path / "store"),
+                      "--shards", "4", "--workers", "9"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_cli_size_and_age_suffixes(self):
         from repro.cli import _parse_age, _parse_size
 
