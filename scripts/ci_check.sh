@@ -7,9 +7,11 @@
 #                                  #   over real worker processes
 #   LINT=1 scripts/ci_check.sh     # + the static-analyzer soundness leg:
 #                                  #   lints every suite kernel,
-#                                  #   cross-checks static vs dynamic, and
-#                                  #   runs the four-way engine differential
-#                                  #   (71 suite + 500 synthesized kernels)
+#                                  #   cross-checks static vs dynamic (suite
+#                                  #   kernels + one 500-kernel synthesis
+#                                  #   request), and runs the four-way engine
+#                                  #   differential (71 suite + 500
+#                                  #   synthesized kernels)
 #   PERFGATE=1 scripts/ci_check.sh # + the -m perfgate timed run against
 #                                  #   the committed BENCH snapshot
 #
@@ -36,8 +38,10 @@ if [[ "${LINT:-0}" != "0" ]]; then
     echo "== lint: suite verdicts, static-vs-dynamic soundness, four-way differential =="
     python -m repro lint
     # The soundness gate: a "safe" verdict for a kernel that dynamically
-    # bails is a hard failure (exit 1); precision misses only print.
-    python -m repro lint --soundness
+    # bails is a hard failure (exit 1); precision misses only print.  The
+    # synthesized kernels are the unique ones of one 500-kernel request
+    # (301 at seed 0), the set `check_synthesized` draws.
+    python -m repro lint --soundness --synthesized 500
     # The hazard-free fact has no dynamic guard: the specialized lockstep
     # tier trusts it, so hold interpreter, closure, generic and specialized
     # lockstep bit-identical on every suite kernel and 500 synthesized ones.

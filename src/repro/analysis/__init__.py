@@ -10,7 +10,8 @@ The package implements the static half of the engines-as-an-oracle story:
 * :mod:`repro.analysis.passes` — the barrier-divergence and shared-memory
   race/hazard passes,
 * :mod:`repro.analysis.classify` — the bailout-cause classifier mapping
-  analysis facts onto the concrete causes ``vectorizer.py`` can raise,
+  analysis facts onto the concrete causes ``vectorizer.py`` can raise; its
+  rejections are the vectorizer's own (``lockstep_rejection``),
 * :mod:`repro.analysis.lint` — the ``repro lint`` front end,
 * :mod:`repro.analysis.soundness` — the static-vs-dynamic cross-check
   harness.
@@ -39,6 +40,7 @@ from repro.analysis.divergence import (
 from repro.analysis.lattice import Div
 from repro.analysis.passes import BarrierReport, RaceSite, barrier_divergence, race_hazards
 from repro.analysis.specialize import SpecializationFacts, derive_specialization
+from repro.execution.vectorizer import lockstep_rejection
 
 __all__ = [
     "AccessSite",
@@ -87,7 +89,7 @@ def analyze_kernel(unit, kernel_name: str | None = None) -> KernelVerdict:
     """
     try:
         facts = DivergenceAnalysis(unit, kernel_name).run()
-        verdict = classify(facts)
+        verdict = classify(facts, lockstep_rejection(unit, kernel_name))
     except ValueError:
         raise
     except Exception as error:  # pragma: no cover - defensive

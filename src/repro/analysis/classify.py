@@ -1,11 +1,11 @@
 """The bailout-cause classifier: analysis facts → concrete engine verdicts.
 
 Maps the facts gathered by the divergence/barrier/race passes onto the
-concrete causes the lockstep tier can raise — the ``NotVectorizable``
-rejections of :func:`repro.execution.vectorizer.try_vectorize` and the
-:class:`~repro.errors.LockstepBailout` causes raised mid-flight by the
-vectorizer and its memory model — and condenses them into one of four
-classifications:
+:class:`~repro.errors.LockstepBailout` causes the vectorizer and its
+memory model can raise mid-flight, takes the lockstep tier's own
+``NotVectorizable`` message
+(:func:`repro.execution.vectorizer.lockstep_rejection`) as the one
+rejection cause, and condenses them into one of four classifications:
 
 =========  ==============================================================
 verdict    meaning
@@ -19,8 +19,8 @@ bailout    at least one *certain* bailout cause (divergent barrier,
            structural cross-lane hazard): attempting vectorization is a
            guaranteed waste, so ``engine="auto"`` routes straight to the
            closure engine.
-rejected   uses a construct outside the lockstep subset; ``try_vectorize``
-           would return ``None`` and the router falls back anyway.
+rejected   the vectorizer refuses the kernel (``try_vectorize`` returns
+           ``None``), so the router falls back anyway.
 unknown    none of the above — the attempt is worth making.
 =========  ==============================================================
 
@@ -32,7 +32,7 @@ one it skipped).  Only the ``safe`` class carries a soundness obligation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.analysis import divergence as dv
@@ -54,8 +54,8 @@ class Classification(str, Enum):
     BAILOUT = "bailout"
 
 
-#: Stable integer encoding for the feature extractor (ordered by how
-#: doomed the lockstep attempt is).
+#: Stable integer encoding of the classes, as ``repro lint --json``
+#: reports it (ordered by how doomed the lockstep attempt is).
 BAILOUT_CLASS_CODES = {
     Classification.SAFE: 0,
     Classification.UNKNOWN: 1,
@@ -68,7 +68,9 @@ BAILOUT_CLASS_CODES = {
 class PredictedCause:
     """One concrete cause the lockstep tier could raise for this kernel."""
 
-    cause: str  # phrased to match vectorizer.py / memory.py messages
+    #: A rejection's cause is the vectorizer's ``NotVectorizable`` message;
+    #: a bailout's is phrased like the ``LockstepBailout`` messages.
+    cause: str
     kind: str  # "rejection" | "bailout"
     certain: bool = False
     detail: str = ""
@@ -92,7 +94,7 @@ class KernelVerdict:
 
     @property
     def bailout_class(self) -> int:
-        """Integer encoding of the classification (feature column)."""
+        """Integer encoding of the classification (lint JSON)."""
         return BAILOUT_CLASS_CODES[self.classification]
 
     @property
@@ -133,22 +135,6 @@ class KernelVerdict:
         }
 
 
-# Flag -> static rejection cause (mirrors try_vectorize's NotVectorizable
-# messages).  Any of these means the kernel never enters the lockstep tier.
-_REJECTION_CAUSES = {
-    dv.FLAG_ADDRESS_OF: "address-of operator",
-    dv.FLAG_VLOAD_VSTORE: "vector load/store",
-    dv.FLAG_RECURSIVE_HELPER: "recursive helper function",
-    dv.FLAG_ATOMIC_ORDER_DEPENDENT: "order-dependent atomic",
-    dv.FLAG_ATOMIC_RESULT_USED: "atomic operation with a used result",
-    dv.FLAG_VECTOR_CAST: "vector cast",
-    dv.FLAG_VECTOR_MEMBER_STORE: "vector member store",
-    dv.FLAG_VECTOR_DECL: "vector-typed declaration",
-    dv.FLAG_VECTOR_PARAM: "vector-typed scalar parameter",
-    dv.FLAG_VECTOR_ELEMENT_POINTER: "vector-element pointer parameter",
-    dv.FLAG_VECTOR_LITERAL: "vector-typed declaration",
-}
-
 # Flag -> possible (never certain) dynamic bailout cause.
 _BAILOUT_FLAG_CAUSES = {
     dv.FLAG_HELPER_FALLOFF: "helper fell off the end on some lanes",
@@ -167,25 +153,20 @@ _HAZARD_CAUSES = {
     "atomic-mix": "atomic after plain write",
 }
 
-#: Flags that are compatible with a ``safe`` verdict.  Everything else —
-#: pointer tricks, vector ops, atomics, helper pathologies, unknown
-#: constructs — drops the kernel to ``unknown`` at best.
-_SAFE_FLAGS = frozenset()
 
+def classify(facts: KernelFacts, rejection: str | None) -> KernelVerdict:
+    """Condense *facts* into a :class:`KernelVerdict`.
 
-def classify(facts: KernelFacts) -> KernelVerdict:
-    """Condense *facts* into a :class:`KernelVerdict`."""
+    *rejection* is the vectorizer's refusal of the kernel
+    (:func:`~repro.execution.vectorizer.lockstep_rejection`): the kernel is
+    ``rejected`` exactly when it is not ``None``, with it as the one cause.
+    """
     barriers: BarrierReport = barrier_divergence(facts)
     races: list[RaceSite] = race_hazards(facts)
 
     causes: list[PredictedCause] = []
-    for flag in sorted(facts.flags):
-        rejection = _REJECTION_CAUSES.get(flag)
-        if rejection is not None:
-            causes.append(
-                PredictedCause(cause=rejection, kind="rejection", certain=True, detail=flag)
-            )
-    rejected = any(cause.kind == "rejection" for cause in causes)
+    if rejection is not None:
+        causes.append(PredictedCause(cause=rejection, kind="rejection", certain=True))
 
     for site in barriers.divergent:
         causes.append(
@@ -225,7 +206,7 @@ def classify(facts: KernelFacts) -> KernelVerdict:
             )
         )
 
-    if rejected:
+    if rejection is not None:
         classification = Classification.REJECTED
     elif any(cause.kind == "bailout" and cause.certain for cause in causes):
         classification = Classification.BAILOUT
@@ -258,7 +239,9 @@ def _is_safe(
     """The conservative never-bails criterion (see the module docstring)."""
     if causes:
         return False
-    if facts.flags - _SAFE_FLAGS:
+    if facts.flags:
+        # Pointer tricks, atomics, helper pathologies and unknown constructs
+        # all drop the kernel to ``unknown`` at best.
         return False
     if barriers.total:
         # Uniform kernel-body barriers never bail by themselves, but they

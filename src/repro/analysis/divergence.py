@@ -13,9 +13,10 @@ downstream passes consume:
 * every shared-memory access (buffer, read/write/atomic, subscript
   divergence and canonical subscript form, control divergence at the site),
 * every ``barrier()`` site with the control divergence it executes under,
-* a set of construct flags (atomics, pointer tricks, vector operations,
-  helper pathologies) the bailout classifier maps onto concrete
-  :class:`~repro.errors.LockstepBailout` / ``NotVectorizable`` causes,
+* a set of construct flags (atomics, pointer tricks, helper pathologies)
+  the bailout classifier maps onto possible
+  :class:`~repro.errors.LockstepBailout` causes; which constructs the
+  lockstep tier refuses outright is the vectorizer's own verdict,
 * a worst-case per-work-item step estimate for the lockstep step budget.
 
 Loops are analysed to a fixpoint (the lattice is a finite chain, so this
@@ -97,23 +98,12 @@ class KernelFacts:
 
 # Construct flags.  Grouped by how the classifier treats them; the value is
 # the flag string recorded in :attr:`KernelFacts.flags`.
-FLAG_ADDRESS_OF = "address-of"
 FLAG_POINTER_DEREF = "pointer-deref"
 FLAG_POINTER_DECL = "pointer-decl"
 FLAG_POINTER_REBIND_DIVERGENT = "pointer-rebind-divergent"
 FLAG_POINTER_TERNARY_DIVERGENT = "pointer-ternary-divergent"
-FLAG_VECTOR_LITERAL = "vector-literal"
-FLAG_VECTOR_DECL = "vector-decl"
-FLAG_VECTOR_CAST = "vector-cast"
-FLAG_VECTOR_PARAM = "vector-param"
-FLAG_VECTOR_ELEMENT_POINTER = "vector-element-pointer"
-FLAG_VECTOR_MEMBER_STORE = "vector-member-store"
-FLAG_VLOAD_VSTORE = "vload-vstore"
 FLAG_ATOMIC = "atomic"
-FLAG_ATOMIC_ORDER_DEPENDENT = "atomic-order-dependent"
-FLAG_ATOMIC_RESULT_USED = "atomic-result-used"
 FLAG_ATOMIC_PRIVATE = "atomic-private"
-FLAG_RECURSIVE_HELPER = "recursive-helper"
 FLAG_HELPER_FALLOFF = "helper-falloff"
 FLAG_HELPER_BARRIER = "helper-barrier"
 FLAG_LOCAL_ARRAY = "local-array"
@@ -134,10 +124,6 @@ _UNIFORM_QUERY_FORMS = {
 _WIDE_INT_CASTS = frozenset(
     {"int", "uint", "long", "ulong", "size_t", "unsigned", "unsigned int",
      "unsigned long", "ptrdiff_t", "intptr_t", "uintptr_t"}
-)
-
-_ORDER_INDEPENDENT_ATOMICS = frozenset(
-    {"add", "sub", "inc", "dec", "min", "max", "and", "or", "xor", "xchg"}
 )
 
 
@@ -271,15 +257,12 @@ class _FunctionAnalyzer:
                 continue
             declared = parameter.declared_type
             if _is_pointer_type(declared):
-                if _is_vector_type(getattr(declared, "pointee", None)):
-                    self.flag(FLAG_VECTOR_ELEMENT_POINTER)
                 space = _space_name(parameter.address_space)
                 self.buffers[parameter.name] = (parameter.name, space)
                 self.facts.buffer_spaces.setdefault(parameter.name, space)
                 if space == "local":
                     self.flag(FLAG_LOCAL_ARRAY)
             elif _is_vector_type(declared):
-                self.flag(FLAG_VECTOR_PARAM)
                 self.env[parameter.name] = _Value(Div.UNIFORM)
             else:
                 # Scalar arguments are identical on every lane; their form is
@@ -372,7 +355,7 @@ class _FunctionAnalyzer:
                 self._declare(declarator)
         elif isinstance(stmt, ast.ExprStmt):
             if stmt.expression is not None:
-                self.eval(stmt.expression, discard=True)
+                self.eval(stmt.expression)
         elif isinstance(stmt, ast.IfStmt):
             self._if(stmt)
         elif isinstance(stmt, ast.ForStmt):
@@ -416,8 +399,6 @@ class _FunctionAnalyzer:
             # declaration inside a block stays visible after it ends), so
             # scoped tables must land here and in every engine together.
             self.flag(FLAG_UNKNOWN_CONSTRUCT)
-        if _is_vector_type(declared):
-            self.flag(FLAG_VECTOR_DECL)
         if declarator.array_size is not None:
             size = self.eval(declarator.array_size)
             if declarator.address_space == AddressSpace.LOCAL:
@@ -557,7 +538,7 @@ class _FunctionAnalyzer:
         saved_extra = self.extra_control
         self.statement(body)
         if increment is not None:
-            self.eval(increment, discard=True)
+            self.eval(increment)
         self.extra_control = saved_extra
         self.control.pop()
 
@@ -665,7 +646,7 @@ class _FunctionAnalyzer:
 
     # -- expressions ----------------------------------------------------
 
-    def eval(self, expression: ast.Expression, discard: bool = False) -> _Value:
+    def eval(self, expression: ast.Expression) -> _Value:
         if isinstance(expression, ast.IntLiteral):
             return _Value(Div.UNIFORM, str(expression.value))
         if isinstance(expression, (ast.FloatLiteral, ast.CharLiteral, ast.StringLiteral)):
@@ -685,7 +666,7 @@ class _FunctionAnalyzer:
         if isinstance(expression, ast.TernaryOp):
             return self._ternary(expression)
         if isinstance(expression, ast.Call):
-            return self._call(expression, discard=discard)
+            return self._call(expression)
         if isinstance(expression, ast.Index):
             return self._index_read(expression)
         if isinstance(expression, ast.Member):
@@ -693,11 +674,7 @@ class _FunctionAnalyzer:
             return _Value(base.div, None)
         if isinstance(expression, ast.Cast):
             return self._cast(expression)
-        if isinstance(expression, ast.VectorLiteral):
-            self.flag(FLAG_VECTOR_LITERAL)
-            divs = [self.eval(element).div for element in expression.elements]
-            return _Value(join(*divs) if divs else Div.UNIFORM, None)
-        if isinstance(expression, ast.InitializerList):
+        if isinstance(expression, (ast.VectorLiteral, ast.InitializerList)):
             divs = [self.eval(element).div for element in expression.elements]
             return _Value(join(*divs) if divs else Div.UNIFORM, None)
         self.flag(FLAG_UNKNOWN_CONSTRUCT)
@@ -762,7 +739,6 @@ class _FunctionAnalyzer:
     def _unary(self, expression: ast.UnaryOp) -> _Value:
         op = expression.op
         if op == "&":
-            self.flag(FLAG_ADDRESS_OF)
             self.eval(expression.operand)
             return _UNKNOWN
         if op == "*":
@@ -852,7 +828,6 @@ class _FunctionAnalyzer:
             return _Value(join(value.div, Div.UNIFORM), None)
         if isinstance(target, ast.Member):
             self.eval(target.base)
-            self.flag(FLAG_VECTOR_MEMBER_STORE)
             return value
         if isinstance(target, ast.UnaryOp) and target.op == "*":
             self.flag(FLAG_POINTER_DEREF)
@@ -884,7 +859,6 @@ class _FunctionAnalyzer:
 
     def _cast(self, expression: ast.Cast) -> _Value:
         if _is_vector_type(expression.target_type):
-            self.flag(FLAG_VECTOR_CAST)
             self.eval(expression.operand)
             return _UNKNOWN
         value = self.eval(expression.operand)
@@ -975,7 +949,7 @@ class _FunctionAnalyzer:
 
     # -- calls ----------------------------------------------------------
 
-    def _call(self, expression: ast.Call, discard: bool = False) -> _Value:
+    def _call(self, expression: ast.Call) -> _Value:
         name = expression.callee
         if name in WORK_ITEM_FUNCTIONS:
             return self._work_item_query(name, expression)
@@ -989,9 +963,8 @@ class _FunctionAnalyzer:
                 self.eval(argument)
             return _Value(Div.UNIFORM, None)
         if name in ATOMIC_FUNCTIONS:
-            return self._atomic(name, expression, discard=discard)
+            return self._atomic(name, expression)
         if name.startswith(("vload", "vstore")):
-            self.flag(FLAG_VLOAD_VSTORE)
             for argument in expression.arguments:
                 self.eval(argument)
             return _UNKNOWN
@@ -1042,13 +1015,9 @@ class _FunctionAnalyzer:
             return _Value(Div.UNIFORM, f"{form}{dimension}")
         return _Value(Div.UNIFORM, None)
 
-    def _atomic(self, name: str, expression: ast.Call, discard: bool) -> _Value:
+    def _atomic(self, name: str, expression: ast.Call) -> _Value:
         self.flag(FLAG_ATOMIC)
-        if not discard:
-            self.flag(FLAG_ATOMIC_RESULT_USED)
         operation = name.replace("atomic_", "").replace("atom_", "")
-        if operation not in _ORDER_INDEPENDENT_ATOMICS:
-            self.flag(FLAG_ATOMIC_ORDER_DEPENDENT)
         if expression.arguments:
             location = expression.arguments[0]
             if isinstance(location, ast.UnaryOp) and location.op == "&":
@@ -1087,7 +1056,6 @@ class _FunctionAnalyzer:
 
     def _helper_call(self, helper: ast.FunctionDecl, expression: ast.Call) -> _Value:
         if helper.name in self.active:
-            self.flag(FLAG_RECURSIVE_HELPER)
             for argument in expression.arguments:
                 self.eval(argument)
             return _UNKNOWN

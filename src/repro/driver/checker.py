@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.clc import parse
 from repro.clc.ast_nodes import TranslationUnit
 from repro.driver.payload import Payload, PayloadConfig, PayloadGenerator
 from repro.errors import ExecutionError, KernelTimeoutError
@@ -74,26 +73,6 @@ class DynamicChecker:
         self.engine = engine
 
     # ------------------------------------------------------------------
-
-    def check_source(
-        self,
-        source: str,
-        kernel_name: str | None = None,
-        unit: TranslationUnit | None = None,
-    ) -> DynamicCheckResult:
-        """Check the (first) kernel of *source*.
-
-        Callers that already compiled the source (the host driver, the
-        rejection filter) pass the parsed *unit* so the check reuses it —
-        and with it every cached engine artifact keyed on that unit —
-        instead of re-parsing the text.
-        """
-        if unit is None:
-            try:
-                unit = parse(source)
-            except Exception as error:  # rejected sources should not reach here
-                return DynamicCheckResult(outcome=CheckOutcome.EXECUTION_ERROR, detail=str(error))
-        return self.check(unit, kernel_name)
 
     def check(self, unit: TranslationUnit, kernel_name: str | None = None) -> DynamicCheckResult:
         kernels = unit.kernels

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.clc import CompilationResult
 from repro.clc.ast_nodes import Call, walk
 from repro.driver.checker import CheckOutcome, DynamicChecker, DynamicCheckResult
-from repro.driver.payload import Payload, PayloadConfig, PayloadGenerator
+from repro.driver.payload import PayloadConfig, PayloadGenerator
 from repro.errors import CompileError, ExecutionError, KernelTimeoutError
 from repro.execution.cache import cached_compile_source, run_kernel
 from repro.execution.device import KernelProfile, Platform, all_platforms

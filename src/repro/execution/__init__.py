@@ -37,7 +37,6 @@ from repro.execution.interpreter import (
     ExecutionStats,
     KernelInterpreter,
 )
-from repro.execution.interpreter import run_kernel as run_kernel_interpreted
 from repro.execution.memory import Buffer, LockstepBuffer, MemoryPool
 from repro.execution.ndrange import NDRange
 from repro.execution.values import VectorValue, convert_scalar, values_equal
@@ -50,7 +49,6 @@ __all__ = [
     "cached_compile_source",
     "compile_kernel",
     "compiled_kernel_for",
-    "run_kernel_interpreted",
     "Device",
     "DeviceType",
     "ExecutionResult",

@@ -829,16 +829,3 @@ class KernelInterpreter:
             item.env = saved_env
             item.call_depth -= 1
         return result
-
-
-def run_kernel(
-    unit: ast.TranslationUnit,
-    pool: MemoryPool,
-    scalar_args: dict[str, object],
-    ndrange: NDRange,
-    kernel_name: str | None = None,
-    max_steps_per_item: int = 50_000,
-) -> ExecutionResult:
-    """Convenience wrapper: execute *kernel_name* (or the first kernel) of *unit*."""
-    interpreter = KernelInterpreter(unit, kernel_name, max_steps_per_item)
-    return interpreter.execute(pool, scalar_args, ndrange)

@@ -20,7 +20,8 @@ three mechanisms:
   run on the closure engine.  These are precisely the constructs whose
   scheduling or values cannot be reproduced by a lockstep pass.
   Result-discarded, order-independent atomics run in lockstep through
-  ``np.ufunc.at``.
+  ``np.ufunc.at``.  These raises are the only statement of the subset:
+  the static analyzer's ``rejected`` class is :func:`lockstep_rejection`.
 * **Dynamic bailout** (:class:`~repro.errors.LockstepBailout`): cross-lane
   memory hazards, int64 overflow, per-lane int/float type divergence and
   step-budget overruns abort the lockstep pass *before the memory pool is
@@ -1901,3 +1902,15 @@ def try_vectorize(
         return VectorizedKernel(unit, kernel_name, max_steps_per_item)
     except NotVectorizable:
         return None
+
+
+def lockstep_rejection(unit: ast.TranslationUnit, kernel_name: str | None) -> str | None:
+    """Why the lockstep tier refuses *unit*'s kernel, or ``None`` if it
+    accepts it: the :class:`NotVectorizable` message of building the
+    generic instance.  Uncached; the static analyzer's verdict, which the
+    compilation cache keeps, carries the answer."""
+    try:
+        VectorizedKernel(unit, kernel_name)
+    except NotVectorizable as error:
+        return str(error)
+    return None

@@ -28,14 +28,6 @@ class StaticFeatures:
     coalesced: int  #: number of coalesced global memory accesses
     branches: int  #: number of branching operations (the §8.2 extension)
     static_instructions: int = 0
-    #: Static-analyzer columns (``with_analysis``): the divergent-barrier
-    #: and race-site counts from the dataflow passes, and the classifier's
-    #: integer class code (:data:`repro.analysis.BAILOUT_CLASS_CODES`).
-    #: Zero unless analysis was explicitly requested, so the default
-    #: extraction path (the rejection filter's hot loop) never pays for it.
-    divergent_barriers: int = 0
-    race_sites: int = 0
-    bailout_class: int = 0
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         """The Table 2a quadruple (without the branch extension)."""
@@ -44,34 +36,6 @@ class StaticFeatures:
     def as_extended_tuple(self) -> tuple[int, int, int, int, int]:
         """The quadruple plus the branch feature."""
         return (self.comp, self.mem, self.localmem, self.coalesced, self.branches)
-
-    def as_analysis_tuple(self) -> tuple[int, int, int, int, int, int, int, int]:
-        """The extended tuple plus the static-analyzer columns."""
-        return self.as_extended_tuple() + (
-            self.divergent_barriers,
-            self.race_sites,
-            self.bailout_class,
-        )
-
-    def with_analysis(
-        self, compilation: CompilationResult, kernel_name: str | None = None
-    ) -> "StaticFeatures":
-        """A copy with the analyzer columns filled from *compilation*.
-
-        Analysis is opt-in: it costs a dataflow fixpoint per kernel, which
-        the rejection filter must not pay for every candidate.
-        """
-        import dataclasses
-
-        from repro.execution.cache import analysis_verdict_for
-
-        verdict = analysis_verdict_for(compilation.unit, kernel_name)
-        return dataclasses.replace(
-            self,
-            divergent_barriers=verdict.divergent_barriers,
-            race_sites=verdict.race_sites,
-            bailout_class=verdict.bailout_class,
-        )
 
     @classmethod
     def from_ir_function(cls, function: IRFunction) -> "StaticFeatures":
@@ -117,14 +81,12 @@ class StaticFeatures:
 
 
 def extract_static_features(
-    source: str, kernel_name: str | None = None, with_analysis: bool = False
+    source: str, kernel_name: str | None = None
 ) -> StaticFeatures | None:
     """Compile *source* (with the shim) and extract static features.
 
     Returns ``None`` if the source does not compile — mirroring how kernels
-    that fail to build are excluded from feature-space comparisons.  With
-    ``with_analysis`` the analyzer columns are filled too (opt-in: a
-    dataflow fixpoint per kernel).
+    that fail to build are excluded from feature-space comparisons.
     """
     try:
         compilation = compile_source(
@@ -134,7 +96,4 @@ def extract_static_features(
         return None
     if not compilation.unit.kernels:
         return None
-    features = StaticFeatures.from_compilation(compilation, kernel_name)
-    if with_analysis:
-        features = features.with_analysis(compilation, kernel_name)
-    return features
+    return StaticFeatures.from_compilation(compilation, kernel_name)

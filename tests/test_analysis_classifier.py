@@ -1,8 +1,9 @@
 """Per-bailout-cause fixtures for the classifier.
 
 One fixture kernel per predicted cause class, asserting both the
-classification and the concrete cause string (phrased to match what
-``vectorizer.py`` / ``memory.py`` raise).
+classification and the concrete cause string: a rejection's cause is the
+message ``vectorizer.py`` refuses the kernel with, a bailout's is phrased
+like what ``vectorizer.py`` / ``memory.py`` raise.
 """
 
 import pytest
@@ -174,8 +175,7 @@ class TestRejectionCauses:
                 """
                 kernel void k(global float* a, global float* out) {
                     int gid = get_global_id(0);
-                    float4 v = vload4(gid, a);
-                    vstore4(v, gid, out);
+                    vstore4(vload4(gid, a), gid, out);
                 }
                 """,
                 "vector load/store",
@@ -200,15 +200,56 @@ class TestRejectionCauses:
                 """,
                 "atomic operation with a used result",
             ),
+            (
+                """
+                kernel void k(global int* out) {
+                    int gid = get_global_id(0);
+                    atomic_cmpxchg(&out[0], 0, gid);
+                }
+                """,
+                "order-dependent atomic 'cmpxchg'",
+            ),
         ],
     )
     def test_rejection_cause(self, source, cause):
         verdict = _verdict(source)
         assert verdict.classification is Classification.REJECTED
-        assert cause in verdict.cause_strings()
+        assert [c.cause for c in verdict.causes if c.kind == "rejection"] == [cause]
         # Rejections are informational: try_vectorize refuses these anyway,
         # so they must not drive the skip decision.
         assert not verdict.skip_vectorization
+
+    def test_suite_rejections_are_the_vectorizers(self):
+        """Over every suite kernel, ``rejected`` means ``try_vectorize``
+        returns ``None``, and the one rejection cause is the message the
+        vectorizer refuses the kernel with."""
+        from repro.analysis import analyze_kernel
+        from repro.execution.cache import cached_compile_source
+        from repro.execution.vectorizer import (
+            NotVectorizable,
+            VectorizedKernel,
+            try_vectorize,
+        )
+        from repro.preprocess.shim import shim_include_resolver, with_shim
+        from repro.suites.registry import all_benchmarks
+
+        for benchmark in all_benchmarks():
+            name = benchmark.qualified_name
+            unit = cached_compile_source(
+                with_shim(benchmark.source),
+                include_resolver=shim_include_resolver,
+                strict=False,
+            ).unit
+            verdict = analyze_kernel(unit)
+            rejections = [c.cause for c in verdict.causes if c.kind == "rejection"]
+            if try_vectorize(unit) is not None:
+                assert verdict.classification is not Classification.REJECTED, name
+                assert rejections == [], name
+                continue
+            with pytest.raises(NotVectorizable) as refusal:
+                VectorizedKernel(unit)
+            assert verdict.classification is Classification.REJECTED, name
+            assert rejections == [str(refusal.value)], name
 
 
 class TestVerdictApi:

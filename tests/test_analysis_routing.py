@@ -184,25 +184,3 @@ class TestLintCli:
         assert main(["lint", "--json", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["by_classification"] == {"bailout": 1}
-
-
-class TestAnalysisFeatureColumns:
-    def test_extended_tuple_unchanged_and_analysis_opt_in(self):
-        from repro.features.static_features import extract_static_features
-
-        plain = extract_static_features(DOOMED)
-        assert plain.as_analysis_tuple() == plain.as_extended_tuple() + (0, 0, 0)
-
-        analyzed = extract_static_features(DOOMED, with_analysis=True)
-        assert analyzed.as_extended_tuple() == plain.as_extended_tuple()
-        assert analyzed.divergent_barriers == 1
-        assert analyzed.bailout_class == 3
-
-    def test_safe_kernel_columns(self):
-        from repro.features.static_features import extract_static_features
-
-        features = extract_static_features(SAFE, with_analysis=True)
-        assert features.divergent_barriers == 0
-        assert features.race_sites == 0
-        assert features.bailout_class == 0
-

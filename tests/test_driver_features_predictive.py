@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.clc import parse
 from repro.driver import (
     CheckOutcome,
     DriverConfig,
@@ -75,31 +76,31 @@ class TestDynamicChecker:
         self.checker = DynamicChecker(PayloadConfig(global_size=32, local_size=16))
 
     def test_useful_kernel(self, vecadd_source):
-        assert self.checker.check_source(vecadd_source).outcome is CheckOutcome.USEFUL
+        assert self.checker.check(parse(vecadd_source)).outcome is CheckOutcome.USEFUL
 
     def test_no_output_kernel(self):
         source = ("__kernel void A(__global float* a, const int n) {\n"
                   "  float x = a[get_global_id(0)] * 2.0f;\n}")
-        assert self.checker.check_source(source).outcome is CheckOutcome.NO_OUTPUT
+        assert self.checker.check(parse(source)).outcome is CheckOutcome.NO_OUTPUT
 
     def test_input_insensitive_kernel(self):
         source = ("__kernel void A(__global float* a, const int n) {\n"
                   "  a[get_global_id(0)] = 1.0f;\n}")
-        assert self.checker.check_source(source).outcome is CheckOutcome.INPUT_INSENSITIVE
+        assert self.checker.check(parse(source)).outcome is CheckOutcome.INPUT_INSENSITIVE
 
     def test_timeout_kernel(self):
         checker = DynamicChecker(PayloadConfig(global_size=8, local_size=8),
                                  max_steps_per_item=200)
         source = ("__kernel void A(__global float* a, const int n) {\n"
                   "  while (1) { a[0] += 1.0f; }\n}")
-        assert checker.check_source(source).outcome is CheckOutcome.TIMEOUT
+        assert checker.check(parse(source)).outcome is CheckOutcome.TIMEOUT
 
     def test_scalar_only_kernel_has_no_output_buffers(self):
         source = "__kernel void A(const int n) { int x = n * 2; }"
-        assert self.checker.check_source(source).outcome is CheckOutcome.NO_GLOBAL_OUTPUT_BUFFERS
+        assert self.checker.check(parse(source)).outcome is CheckOutcome.NO_GLOBAL_OUTPUT_BUFFERS
 
     def test_four_executions_for_useful_kernel(self, vecadd_source):
-        result = self.checker.check_source(vecadd_source)
+        result = self.checker.check(parse(vecadd_source))
         assert result.executions == 4
 
 

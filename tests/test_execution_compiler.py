@@ -30,7 +30,6 @@ from repro.execution import (
     NDRange,
     compiled_kernel_for,
     run_kernel,
-    run_kernel_interpreted,
     try_vectorize,
 )
 from repro.preprocess.shim import shim_include_resolver, with_shim
@@ -188,8 +187,8 @@ class TestCompiledEngineSemantics:
                 if values is not None:
                     buffer.copy_from(values)
             if engine == "interpreter":
-                result = run_kernel_interpreted(
-                    unit, pool, scalars, ndrange, max_steps_per_item=max_steps
+                result = KernelInterpreter(unit, max_steps_per_item=max_steps).execute(
+                    pool, scalars, ndrange
                 )
             else:
                 result = run_kernel(
