@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: the tier-1 sweep, then (opt-in) the chaos soak and the
-# perf gate.
+# static-analyzer soundness leg.
 #
 #   scripts/ci_check.sh            # tier-1 only: the merge gate
 #   CHAOS=1 scripts/ci_check.sh    # + the -m chaos soak: the fault menu
@@ -12,15 +12,10 @@
 #                                  #   request), and runs the four-way engine
 #                                  #   differential (71 suite + 500
 #                                  #   synthesized kernels)
-#   PERFGATE=1 scripts/ci_check.sh # + the -m perfgate timed run against
-#                                  #   the committed BENCH snapshot
 #
-# Tier-1 is every default-selected test under tests/ — the chaos soak and
-# the perf gate stay opt-in because they spawn real worker fleets and
-# timed runs, which are too heavy (and too jitter-prone) for the gate.
-# The perf gate needs a quiet machine and a cold store.  Bench sessions
-# write a snapshot only when REPRO_BENCH_OUT names a file, so neither
-# tier-1 nor the gate dirties the committed BENCH artifacts.
+# Tier-1 is every default-selected test under tests/ — the chaos soak
+# stays opt-in because it spawns real worker fleets, which are too heavy
+# for the gate.  Performance is perfbench/run.py's job (BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,15 +37,11 @@ if [[ "${LINT:-0}" != "0" ]]; then
     # synthesized kernels are the unique ones of one 500-kernel request
     # (301 at seed 0), the set `check_synthesized` draws.
     python -m repro lint --soundness --synthesized 500
-    # The hazard-free fact has no dynamic guard: the specialized lockstep
-    # tier trusts it, so hold interpreter, closure, generic and specialized
-    # lockstep bit-identical on every suite kernel and 500 synthesized ones.
+    # The SAFE verdict's race-freedom has no dynamic guard: the specialized
+    # lockstep tier trusts it, so hold interpreter, closure, generic and
+    # specialized lockstep bit-identical on every suite kernel and 500
+    # synthesized ones.
     python scripts/verify_specialization.py --count 500
-fi
-
-if [[ "${PERFGATE:-0}" != "0" ]]; then
-    echo "== perf gate (-m perfgate): phase timings vs committed BENCH =="
-    python -m pytest benchmarks -m perfgate -x -q
 fi
 
 echo "ci_check: OK"

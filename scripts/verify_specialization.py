@@ -10,11 +10,11 @@ the sample-time compile seeding (``compile_parsed_body`` →
 ``seed_compiled_source``) against a fresh frontend run: printed unit, IR
 pickle and semantics pickle must match byte-for-byte.
 
-The specialized tier skips hazard tracking on buffers the race pass
-proved hazard-free, with no dynamic guard behind that proof; this run is
-the large-scale check of it against the interpreter, and the ``LINT=1``
-leg of ``scripts/ci_check.sh`` runs it.  Exit status is non-zero on any
-divergence.
+The specialized tier skips hazard tracking on every buffer of a kernel the
+race pass proved race-free (SAFE), with no dynamic guard behind that
+proof; this run is the large-scale check of it against the interpreter,
+and the ``LINT=1`` leg of ``scripts/ci_check.sh`` runs it.  Exit status is
+non-zero on any divergence.
 
 Usage::
 

@@ -39,7 +39,7 @@ from repro.analysis.divergence import (
 )
 from repro.analysis.lattice import Div
 from repro.analysis.passes import BarrierReport, RaceSite, barrier_divergence, race_hazards
-from repro.analysis.specialize import SpecializationFacts, derive_specialization
+from repro.analysis.specialize import SpecializationFacts
 from repro.execution.vectorizer import lockstep_rejection
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "analyze_source",
     "barrier_divergence",
     "classify",
-    "derive_specialization",
     "race_hazards",
 ]
 

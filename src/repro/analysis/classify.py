@@ -38,7 +38,7 @@ from enum import Enum
 from repro.analysis import divergence as dv
 from repro.analysis.divergence import KernelFacts
 from repro.analysis.passes import BarrierReport, RaceSite, barrier_divergence, race_hazards
-from repro.analysis.specialize import SpecializationFacts, derive_specialization
+from repro.analysis.specialize import SpecializationFacts
 
 #: Step allowance for the ``safe`` class, against the lockstep tier's
 #: 50 000 steps-per-item default budget.  The estimate already assumes
@@ -224,8 +224,8 @@ def classify(facts: KernelFacts, rejection: str | None) -> KernelVerdict:
         race_sites=len(races),
         step_estimate=facts.step_estimate,
         flags=frozenset(facts.flags),
-        specialization=derive_specialization(
-            facts, races, safe=classification is Classification.SAFE
+        specialization=SpecializationFacts(
+            facts.kernel_name, eligible=classification is Classification.SAFE
         ),
     )
 

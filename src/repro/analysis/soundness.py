@@ -15,8 +15,9 @@ by running both legs for each kernel:
 A ``safe``-but-bailed kernel is a **violation** and fails the harness; a
 ``bailout``-but-clean kernel is a **precision miss** (the router skipped a
 vectorization that would have worked) and is merely reported.  The CI lint
-leg runs :func:`check_suites`; the full-scale gate additionally runs
-:func:`check_synthesized` over ≥1000 freshly synthesized kernels.
+leg runs :func:`check_suites` plus :func:`check_synthesized` on one
+500-kernel request (``repro lint --soundness --synthesized 500``: the 301
+unique kernels it yields at seed 0).
 """
 
 from __future__ import annotations
@@ -244,7 +245,11 @@ def check_synthesized(
     repository_count: int = 40,
     **kwargs,
 ) -> SoundnessReport:
-    """Cross-check *count* freshly synthesized kernels (the full-scale gate)."""
+    """Cross-check the unique kernels of one *count*-kernel synthesis request.
+
+    ``generate_kernels`` drops duplicates, so fewer than *count* kernels are
+    checked: 301 for ``count=500`` at seed 0.
+    """
     from repro.synthesis.generator import CLgen
 
     synthesizer = CLgen.from_github(repository_count=repository_count, seed=seed)

@@ -1,8 +1,8 @@
 """Hardened parsing of ``REPRO_*`` environment knobs.
 
 Every environment variable the pipeline reads goes through these helpers so
-a malformed value (a typo'd retry count, an unknown bench scale, a store
-path pointing at a regular file) degrades to the documented default with a
+a malformed value (a typo'd retry count, a negative lease, a store path
+pointing at a regular file) degrades to the documented default with a
 :class:`RuntimeWarning` instead of crashing the pipeline mid-run or being
 silently misread.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Sequence
 
 
 def _warn(message: str) -> None:
@@ -113,21 +112,6 @@ def env_text(name: str, default: str | None = None) -> str | None:
     if raw is None or not raw.strip():
         return default
     return raw.strip()
-
-
-def env_choice(name: str, choices: Sequence[str], default: str) -> str:
-    """The value of ``$name`` restricted to *choices*, else *default*."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    value = raw.strip()
-    if value in choices:
-        return value
-    _warn(
-        f"ignoring unknown {name}={raw!r} (expected one of "
-        f"{', '.join(repr(choice) for choice in choices)}); using {default!r}"
-    )
-    return default
 
 
 def env_directory(name: str) -> str | None:

@@ -59,8 +59,8 @@ class CompilationCache:
 
     * ``"closure"`` — the :class:`CompiledKernel` engine;
     * ``"vectorized"`` — the generic lockstep :class:`VectorizedKernel`;
-    * ``"vectorized-specialized"`` — the lockstep instance built with the
-      analyzer's ``hazard_free`` fact, for SAFE kernels only;
+    * ``"vectorized-specialized"`` — the lockstep instance without hazard
+      tracking, for kernels the analyzer marks ``eligible`` (SAFE) only;
     * ``"analysis"`` — the static analyzer's
       :class:`~repro.analysis.KernelVerdict`, consulted by the engine router
       before each lockstep attempt.
@@ -264,8 +264,8 @@ def specialized_kernel_for(
 
     ``None`` when the kernel is not eligible — the analyzer did not prove it
     SAFE — in which case the caller runs the generic lockstep tier.  The
-    instance skips hazard tracking on the buffers the race pass proved
-    hazard-free; it is cached under its own artifact kind, beside the
+    instance skips hazard tracking on every buffer, since a SAFE kernel has
+    no race site; it is cached under its own artifact kind, beside the
     generic one.
     """
     artifact = GLOBAL_COMPILATION_CACHE.get(

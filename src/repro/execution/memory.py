@@ -227,8 +227,9 @@ class LockstepBuffer:
         self.element_kind = source.element_kind
         self.is_float = source.element_kind in ("float", "double", "half")
         self.address_space = source.address_space
-        #: False for buffers the race pass proved hazard-free: the trackers
-        #: below exist only to detect the hazards that proof rules out.
+        #: False in the specialized tier, whose SAFE verdict proves the
+        #: kernel race-free: the trackers below exist only to detect the
+        #: hazards that proof rules out.
         self.track_hazards = track_hazards
         try:
             # Scalar buffers hold plain floats/ints (vector elements bailed

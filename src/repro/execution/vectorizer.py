@@ -31,10 +31,10 @@ three mechanisms:
   helper-call and memory-access counters are maintained per lane/mask in
   exactly the places the scalar engines bump them.
 
-The only analyzer fact the tier consumes is ``hazard_free`` (see
-:mod:`repro.analysis.specialize`): buffers the race pass proved free of
-cross-lane hazards skip the per-cell writer/reader bookkeeping.  A generic
-instance is the same compile with no such buffers.
+The only analyzer fact the tier consumes is ``eligible`` (see
+:mod:`repro.analysis.specialize`): a SAFE kernel has no race site, so its
+specialized instance skips the per-cell writer/reader bookkeeping on every
+buffer.  A generic instance is the same compile with the bookkeeping on.
 
 Kernels without barriers or ``__local`` memory run the entire NDRange as
 one lane vector.  Kernels **with** them run in *group-sequential* mode:
@@ -434,12 +434,9 @@ class VectorizedKernel:
         kernels = unit.kernels
         if not kernels:
             raise ExecutionError("translation unit contains no kernels")
-        #: Buffers whose views skip hazard tracking (the ``hazard_free``
-        #: fact of ``repro.analysis.specialize.SpecializationFacts``); empty
-        #: for the generic tier.
-        self._hazard_free = (
-            frozenset() if specialization is None else specialization.hazard_free
-        )
+        #: Off for the specialized tier: its SAFE verdict proves every
+        #: buffer free of cross-lane hazards.
+        self._track_hazards = specialization is None
         self._kernel = kernels[0] if kernel_name is None else unit.kernel(kernel_name)
         self._functions = {f.name: f for f in unit.functions if f.body is not None}
         self._max_steps = max_steps_per_item
@@ -544,9 +541,7 @@ class VectorizedKernel:
         for name, buffer in pool.buffers.items():
             if buffer.address_space == "local" and not self._needs_groups:
                 raise LockstepBailout("unexpected __local buffer in lockstep pool")
-            lockstep_buffers[name] = LockstepBuffer(
-                buffer, track_hazards=name not in self._hazard_free
-            )
+            lockstep_buffers[name] = LockstepBuffer(buffer, track_hazards=self._track_hazards)
         views = list(lockstep_buffers.values())
 
         base_env: dict = dict(globals_env)

@@ -3,15 +3,18 @@
 Every table/figure module needs the same raw material: measurements of the
 benchmark-suite kernels across their datasets, and measurements of a pool of
 CLgen-synthesized kernels to augment training sets with.  This module builds
-both, with a configurable scale knob so unit tests can run in seconds while
-the benchmark harness regenerates the full-size experiments.
+both, at a configurable scale: :meth:`ExperimentConfig.quick` runs in
+seconds for unit tests and the figure benchmarks, and
+:meth:`ExperimentConfig.full` is ``repro experiments --full``.
 
 All the heavy lifting is routed through the pipeline stage graph
 (:mod:`repro.store.stages`): each phase — mine, preprocess, train, sample,
 execute — persists its artifact to the content-addressed store, so repeat
-invocations (a second ``python -m repro experiments``, a re-run of the bench
-harness against the same ``REPRO_STORE_DIR``) reuse every stage whose
-fingerprint still matches and recompute only downstream of a change.
+invocations (a second ``python -m repro experiments``, a re-run of the
+figure benchmarks against the same ``REPRO_STORE_DIR``) reuse every stage
+whose fingerprint still matches and recompute only downstream of a change.
+Per-phase wall-clock seconds live on the runner
+(:meth:`~repro.store.stages.PipelineRunner.phase_seconds`).
 
 Every helper takes an optional ``runner=``; without one it falls back to
 :func:`repro.store.stages.default_runner`, which is unsharded.  Pass a
@@ -60,7 +63,7 @@ class ExperimentConfig:
 
     @classmethod
     def full(cls) -> "ExperimentConfig":
-        """The configuration used by the benchmark harness (EXPERIMENTS.md)."""
+        """Paper-scale kernel counts: ``repro experiments --full``."""
         return cls(
             executed_global_size=128,
             local_size=32,
@@ -88,18 +91,10 @@ class ExperimentData:
         return out
 
 
-def _merge_timings(timings: dict[str, float] | None, phases: dict[str, float]) -> None:
-    if timings is None:
-        return
-    for phase, seconds in phases.items():
-        timings[phase] = timings.get(phase, 0.0) + seconds
-
-
 def measure_suites(
     config: ExperimentConfig,
     suites: list[str] | None = None,
     runner: PipelineRunner | None = None,
-    timings: dict[str, float] | None = None,
 ) -> ExperimentData:
     """Measure every benchmark of the selected suites (all seven by default).
 
@@ -108,9 +103,7 @@ def measure_suites(
     """
     runner = runner or default_runner()
     stage_config = PipelineConfig.from_experiment(config, suites=suites)
-    mark = runner.mark()
     measured = runner.suite_measurements(stage_config)
-    _merge_timings(timings, runner.phase_seconds(mark))
     data = ExperimentData(config=config)
     data.suite_measurements = measured.suite_measurements
     data.benchmark_measurements = measured.benchmark_measurements
@@ -119,23 +112,16 @@ def measure_suites(
 
 def build_clgen(
     config: ExperimentConfig,
-    timings: dict[str, float] | None = None,
     runner: PipelineRunner | None = None,
 ) -> CLgen:
     """Mine the synthetic GitHub corpus and train a CLgen instance.
 
     The corpus and the trained model resolve through the ``mine`` →
     ``preprocess`` → ``train`` stages, so a store-backed repeat skips the
-    mining and training entirely.  When *timings* is given, wall-clock
-    seconds for the ``preprocess`` and ``train`` phases are accumulated into
-    it (used by the benchmark harness to emit its per-phase perf snapshot).
+    mining and training entirely.
     """
     runner = runner or default_runner()
-    stage_config = PipelineConfig.from_experiment(config)
-    mark = runner.mark()
-    clgen = runner.clgen(stage_config)
-    _merge_timings(timings, runner.phase_seconds(mark))
-    return clgen
+    return runner.clgen(PipelineConfig.from_experiment(config))
 
 
 def synthesize_and_measure(
@@ -143,15 +129,12 @@ def synthesize_and_measure(
     data: ExperimentData,
     clgen: CLgen | None = None,
     count: int | None = None,
-    timings: dict[str, float] | None = None,
     runner: PipelineRunner | None = None,
 ) -> ExperimentData:
     """Generate CLgen kernels and measure them as training-only observations.
 
     Both the kernel batch (``sample`` stage) and its measurements
-    (``execute`` stage) are store artifacts.  When *timings* is given,
-    wall-clock seconds for the ``sample`` and ``execute`` phases are
-    accumulated into it.
+    (``execute`` stage) are store artifacts.
 
     A *clgen* built by :func:`build_clgen` (or any stage-graph product) is
     recognized by its model fingerprint and resolved through the store.  An
@@ -173,13 +156,9 @@ def synthesize_and_measure(
             "config (build_clgen); this clgen's model has a different fingerprint"
         )
 
-    mark = runner.mark()
     result = runner.synthesis(stage_config)
     measurements = runner.synthetic_measurements(stage_config)
-    # Resolve the corpus inside the timed slice so its (usually live/memory)
-    # lookup is accounted to the preprocess phase rather than hidden.
     corpus = clgen.corpus if clgen is not None else runner.corpus(stage_config)
-    _merge_timings(timings, runner.phase_seconds(mark))
 
     data.synthesis = result
     data.synthetic_measurements = measurements

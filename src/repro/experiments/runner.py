@@ -1,8 +1,8 @@
 """Run every experiment and render a textual report.
 
-``python -m repro experiments`` (or the benchmark harness) uses this module
-to regenerate the paper's tables and figures in one pass and to produce the
-numbers recorded in EXPERIMENTS.md.
+``python -m repro experiments`` uses this module to regenerate the paper's
+tables and figures in one pass; perfbench's ``experiments`` workload times
+it and checks its rendered report against ``perfbench/expected_reports.json``.
 """
 
 from __future__ import annotations

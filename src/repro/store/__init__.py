@@ -45,7 +45,6 @@ _STAGE_EXPORTS = {
     "suite_execution_fingerprint",
     "synthesis_fingerprint",
     "synthetic_execution_fingerprint",
-    "warm_phases",
 }
 
 
@@ -94,5 +93,4 @@ __all__ = [
     "synthesis_fingerprint",
     "synthetic_execution_fingerprint",
     "text_digest",
-    "warm_phases",
 ]

@@ -250,33 +250,6 @@ class StageEvent:
     seconds: float
 
 
-def warm_phases(events) -> list[str]:
-    """Benchmark phases whose timings are tainted by cross-session warmth.
-
-    A hit whose fingerprint was *missed earlier in the same event slice* is
-    structural (the same session computed it moments ago — e.g. the execute
-    stage re-resolving its sample artifact) and costs nothing; a hit with no
-    such miss was served from a previous session's store and replaced real
-    work with a lookup.  Any phase containing the latter must not be used as
-    a cold timing source (bench snapshots, perf gates).  *events* may be
-    :class:`StageEvent` objects or dicts with ``stage``/``fingerprint``/
-    ``hit`` entries.
-    """
-    missed: set[str] = set()
-    tainted: set[str] = set()
-    for event in events:
-        if isinstance(event, dict):
-            stage, fingerprint, hit = event["stage"], event["fingerprint"], event["hit"]
-        else:
-            stage, fingerprint, hit = event.stage, event.fingerprint, event.hit
-        if hit:
-            if fingerprint not in missed:
-                tainted.add(STAGE_PHASES.get(stage, stage))
-        else:
-            missed.add(fingerprint)
-    return sorted(tainted)
-
-
 @dataclass
 class SuiteMeasurementSet:
     """The execute stage's suite-side artifact."""
@@ -305,8 +278,10 @@ class PipelineRunner:
     One runner wraps one store (by default the process-wide memory store, or
     the directory named by ``REPRO_STORE_DIR`` / ``cache_dir``).  Every
     stage resolution is recorded as a :class:`StageEvent` with its
-    wall-clock cost (exclusive of upstream stages), which is what the CLI,
-    the profile script and the warm-run tests report.
+    wall-clock cost (exclusive of upstream stages): ``repro pipeline``
+    prints them as its stage table, and :meth:`phase_seconds` sums them
+    into the four benchmark phases that perfbench's ``pipeline`` workload
+    reports.
 
     The data-parallel stages (mine, preprocess, sample, both execute sides)
     resolve through their shard spec (see :mod:`repro.store.shards`): one

@@ -61,7 +61,8 @@ class SyntheticKernel:
 
 @dataclass
 class SynthesisStatistics:
-    """Bookkeeping over a synthesis run (used by EXPERIMENTS.md and tests)."""
+    """Bookkeeping over a synthesis run (printed by ``repro sample`` and
+    ``repro pipeline``)."""
 
     requested: int = 0
     generated: int = 0

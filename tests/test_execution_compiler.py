@@ -108,8 +108,8 @@ class TestDifferentialSuites:
         _assert_same(results_legacy, results_lockstep, "lockstep-vs-interpreter")
 
         # Fourth way: the analyzer-specialized lockstep tier (hazard
-        # tracking skipped on proven hazard-free buffers), for kernels the
-        # analyzer proves eligible (SAFE).  Eligible kernels carry the
+        # tracking skipped on every buffer), for kernels the analyzer
+        # proves eligible (SAFE).  Eligible kernels carry the
         # never-bails promise, so a bailout here is a soundness failure,
         # not a fallback.
         from repro.analysis import analyze_kernel

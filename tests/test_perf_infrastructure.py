@@ -228,139 +228,3 @@ class TestPreprocessCacheAndParallelism:
         fresh = PreprocessCache(directory=str(directory))
         result = PreprocessingPipeline(cache=fresh).run([ACCEPTED_SOURCE])
         assert result.statistics.accepted_files == 1
-
-
-class TestBenchCompareScaleGuard:
-    """`scripts/bench_compare.py` must refuse to diff snapshots taken at
-    different REPRO_BENCH_SCALEs — a full-vs-quick comparison reads as a
-    huge fake regression (ISSUE 4 CI satellite)."""
-
-    @staticmethod
-    def _compare(tmp_path, old: dict, new: dict, *extra: str) -> int:
-        import json
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        script = Path(__file__).resolve().parent.parent / "scripts" / "bench_compare.py"
-        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-        old_path.write_text(json.dumps(old))
-        new_path.write_text(json.dumps(new))
-        return subprocess.run(
-            [sys.executable, str(script), str(old_path), str(new_path), *extra],
-            capture_output=True,
-        ).returncode
-
-    def test_scale_mismatch_is_refused(self, tmp_path):
-        quick = {"scale": "quick", "phases_seconds": {"execute": 0.4}, "total_seconds": 0.4}
-        full = {"scale": "full", "phases_seconds": {"execute": 9.0}, "total_seconds": 9.0}
-        assert self._compare(tmp_path, quick, full) == 2
-
-    def test_scale_mismatch_override(self, tmp_path):
-        quick = {"scale": "quick", "phases_seconds": {"execute": 0.4}, "total_seconds": 0.4}
-        full = {"scale": "full", "phases_seconds": {"execute": 0.4}, "total_seconds": 0.4}
-        assert self._compare(tmp_path, quick, full, "--allow-scale-mismatch") == 0
-
-    def test_matching_scales_compare(self, tmp_path):
-        old = {"scale": "quick", "phases_seconds": {"execute": 0.4}, "total_seconds": 0.4}
-        new = {"scale": "quick", "phases_seconds": {"execute": 0.41}, "total_seconds": 0.41}
-        assert self._compare(tmp_path, old, new) == 0
-
-    def test_regression_still_fails_at_matching_scale(self, tmp_path):
-        old = {"scale": "quick", "phases_seconds": {"execute": 0.4}, "total_seconds": 0.4}
-        new = {"scale": "quick", "phases_seconds": {"execute": 0.9}, "total_seconds": 0.9}
-        assert self._compare(tmp_path, old, new) == 1
-
-
-class TestBenchCompareSchemaFlag:
-    """ISSUE 5 CI satellite: a sample comparison across a synthesis schema
-    bump measures *different kernels*, so `bench_compare` FLAGs it instead
-    of failing — while the other phases still gate normally."""
-
-    @staticmethod
-    def _compare(tmp_path, old: dict, new: dict, *extra: str):
-        import json
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        script = Path(__file__).resolve().parent.parent / "scripts" / "bench_compare.py"
-        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-        old_path.write_text(json.dumps(old))
-        new_path.write_text(json.dumps(new))
-        return subprocess.run(
-            [sys.executable, str(script), str(old_path), str(new_path), *extra],
-            capture_output=True,
-            text=True,
-        )
-
-    def test_sample_regression_across_bump_is_flagged_not_failed(self, tmp_path):
-        old = {"scale": "quick", "phases_seconds": {"sample": 0.4, "execute": 0.4}}
-        new = {"scale": "quick", "sample_schema": 2,
-               "phases_seconds": {"sample": 0.9, "execute": 0.4}}
-        completed = self._compare(tmp_path, old, new)
-        assert completed.returncode == 0
-        assert "FLAG" in completed.stderr
-        assert "re-baselined" in completed.stderr
-        assert "REGRESSION" not in completed.stderr
-
-    def test_other_phases_still_gate_across_bump(self, tmp_path):
-        old = {"scale": "quick", "phases_seconds": {"sample": 0.4, "execute": 0.4}}
-        new = {"scale": "quick", "sample_schema": 2,
-               "phases_seconds": {"sample": 0.9, "execute": 0.9}}
-        completed = self._compare(tmp_path, old, new)
-        assert completed.returncode == 1
-        assert "REGRESSION" in completed.stderr
-        assert "'execute'" in completed.stderr
-
-    def test_same_schema_sample_regression_still_fails(self, tmp_path):
-        old = {"scale": "quick", "sample_schema": 2,
-               "phases_seconds": {"sample": 0.4}}
-        new = {"scale": "quick", "sample_schema": 2,
-               "phases_seconds": {"sample": 0.9}}
-        completed = self._compare(tmp_path, old, new)
-        assert completed.returncode == 1
-        assert "REGRESSION" in completed.stderr
-
-    def test_missing_field_reads_as_chain_schema_v1(self, tmp_path):
-        # Two pre-bump snapshots (no field) compare as the same schema.
-        old = {"scale": "quick", "phases_seconds": {"sample": 0.4}}
-        new = {"scale": "quick", "phases_seconds": {"sample": 0.9}}
-        completed = self._compare(tmp_path, old, new)
-        assert completed.returncode == 1
-        assert "REGRESSION" in completed.stderr
-
-
-class TestBenchCompareAllowRegression:
-    """PR 10's specialization moves per-candidate frontend + analysis work
-    from execute into sample-time seeding — a deliberate cost shift.
-    ``--allow-regression PHASE`` acknowledges it: the slowdown still prints
-    as a FLAG, but only unlisted phases fail the comparison."""
-
-    _compare = staticmethod(TestBenchCompareSchemaFlag._compare)
-
-    def test_allowed_phase_regression_is_flagged_not_failed(self, tmp_path):
-        old = {"scale": "full", "phases_seconds": {"sample": 2.29, "execute": 2.69}}
-        new = {"scale": "full", "phases_seconds": {"sample": 2.61, "execute": 1.34}}
-        completed = self._compare(tmp_path, old, new, "--allow-regression", "sample")
-        assert completed.returncode == 0
-        assert "FLAG" in completed.stderr
-        assert "'sample'" in completed.stderr
-        assert "REGRESSION" not in completed.stderr
-
-    def test_unlisted_phase_still_fails(self, tmp_path):
-        old = {"scale": "full", "phases_seconds": {"sample": 2.29, "execute": 2.69}}
-        new = {"scale": "full", "phases_seconds": {"sample": 2.61, "execute": 3.40}}
-        completed = self._compare(tmp_path, old, new, "--allow-regression", "sample")
-        assert completed.returncode == 1
-        assert "'execute'" in completed.stderr
-
-    def test_flag_is_repeatable(self, tmp_path):
-        old = {"scale": "full", "phases_seconds": {"sample": 2.29, "train": 0.38}}
-        new = {"scale": "full", "phases_seconds": {"sample": 2.61, "train": 0.50}}
-        completed = self._compare(
-            tmp_path, old, new,
-            "--allow-regression", "sample", "--allow-regression", "train",
-        )
-        assert completed.returncode == 0
-        assert "REGRESSION" not in completed.stderr

@@ -12,6 +12,7 @@ from repro.clc import lower, parse
 from repro.clc.printer import print_source
 from repro.corpus import ContentFileGenerator
 from repro.preprocess import CodeRewriter, RejectionFilter
+from repro.store import STAGE_ORDER
 
 _ARCHETYPES = [
     "add", "saxpy", "scale", "map", "zip", "stencil", "reduce", "dot",
@@ -90,6 +91,23 @@ class TestCLI:
         assert main(["sample", "--count", "2", "--repositories", "20", "--seed", "1"]) == 0
         captured = capsys.readouterr()
         assert "__kernel void A(" in captured.out
+
+    def test_pipeline_table_cold_then_warm(self, tmp_path, capsys):
+        """``repro pipeline`` twice on one ``--cache-dir``: the per-stage
+        cold/warm table (the store's work, stage by stage)."""
+        flags = ["--repositories", "10", "--count", "2", "--global-size", "16",
+                 "--local-size", "8", "--cache-dir", str(tmp_path / "store")]
+
+        def table() -> list[tuple[str, str, float]]:
+            assert main(["pipeline", *flags]) == 0
+            rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+            return [(row[0], row[1], float(row[2])) for row in rows if row[0] in STAGE_ORDER]
+
+        cold = table()
+        assert {stage for stage, result, _ in cold if result == "miss"} == set(STAGE_ORDER)
+        assert all(seconds >= 0.0 for _, _, seconds in cold)
+        warm = table()
+        assert warm and {result for _, result, _ in warm} == {"hit"}
 
     def test_train_command_with_checkpoint(self, tmp_path, capsys):
         checkpoint = tmp_path / "model.json"

@@ -36,7 +36,6 @@ from repro.store.stages import (
     PipelineRunner,
     model_fingerprint,
     synthesis_fingerprint,
-    warm_phases,
 )
 
 
@@ -415,35 +414,6 @@ class TestConcurrentShardFill:
         assert canonical_bytes(suites) == canonical_bytes(reference["suites"])
 
 
-class TestWarmAwareness:
-    def test_merge_fed_by_warm_shards_is_warm(self, tmp_path):
-        """A merge whose shards all came from a previous session replaced
-        real work with lookups: its phase must be refused as a cold timing
-        source, exactly like a direct warm hit."""
-        cfg = tiny_config()
-        directory = tmp_path / "store"
-        cold = PipelineRunner(store=ArtifactStore(directory=directory), shards=SHARDS)
-        cold.suite_measurements(cfg)
-        assert warm_phases(cold.events) == []
-
-        # New session, whole artifact gone, shards still present.
-        from repro.store.stages import suite_execution_fingerprint
-
-        cold.store.entry_path(
-            "suite-measurements", suite_execution_fingerprint(cfg)
-        ).unlink()
-        warm = PipelineRunner(store=ArtifactStore(directory=directory), shards=SHARDS)
-        warm.suite_measurements(cfg)
-        assert warm_phases(warm.events) == ["execute"]
-
-    def test_fully_cold_sharded_run_is_not_warm(self):
-        cfg = tiny_config()
-        runner = PipelineRunner(store=ArtifactStore(directory=None), shards=SHARDS)
-        runner.suite_measurements(cfg)
-        runner.synthetic_measurements(cfg)
-        assert warm_phases(runner.events) == []
-
-
 class TestLSTMFingerprintRegression:
     """ISSUE 4 bugfix: ``backend="lstm"`` used to fingerprint identically
     regardless of ``LSTMConfig``, so differently-configured trainings
@@ -508,15 +478,6 @@ class TestLSTMFingerprintRegression:
 class TestEnvHardeningRegression:
     """ISSUE 4 bugfix: malformed ``REPRO_*`` env knobs must degrade with a
     warning, never crash or be silently misread."""
-
-    def test_malformed_bench_scale_falls_back_to_quick(self, monkeypatch):
-        from repro.envutil import env_choice
-
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "fulll")
-        with pytest.warns(RuntimeWarning, match="REPRO_BENCH_SCALE"):
-            assert env_choice("REPRO_BENCH_SCALE", ("quick", "full"), "quick") == "quick"
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "full")
-        assert env_choice("REPRO_BENCH_SCALE", ("quick", "full"), "quick") == "full"
 
     def test_store_dir_pointing_at_a_file_is_ignored(self, tmp_path, monkeypatch):
         from repro.store.artifact_store import default_store_directory

@@ -199,39 +199,6 @@ class TestPhaseAccounting:
         }
 
 
-class TestWarmPhaseDetection:
-    """The rule guarding bench snapshots and the perf gate: a hit whose
-    fingerprint was missed earlier in the slice is structural (same-session
-    recompute); any other hit replaced real work and taints its phase."""
-
-    def test_same_session_hits_are_structural(self):
-        from repro.store.stages import StageEvent, warm_phases
-
-        events = [
-            StageEvent("preprocess", "a" * 8, False, 1.0),
-            StageEvent("preprocess", "a" * 8, True, 0.0),
-        ]
-        assert warm_phases(events) == []
-
-    def test_cross_session_hit_taints_even_a_partially_cold_phase(self):
-        from repro.store.stages import StageEvent, warm_phases
-
-        events = [
-            StageEvent("execute", "suite-fp", True, 0.01),  # prior session
-            StageEvent("execute", "synth-fp", False, 1.0),  # cold
-        ]
-        assert warm_phases(events) == ["execute"]
-
-    def test_accepts_dict_records(self):
-        from repro.store.stages import warm_phases
-
-        records = [
-            {"stage": "mine", "fingerprint": "m", "hit": True},
-            {"stage": "sample", "fingerprint": "s", "hit": False},
-        ]
-        assert warm_phases(records) == ["preprocess"]
-
-
 class TestExperimentHarnessIntegration:
     def test_experiment_helpers_reuse_the_store(self, tmp_path):
         """`build_clgen` + `synthesize_and_measure` + `measure_suites` (the
@@ -247,20 +214,16 @@ class TestExperimentHarnessIntegration:
         directory = tmp_path / "store"
 
         def run(runner: PipelineRunner):
-            timings: dict[str, float] = {}
-            data = measure_suites(config, suites=["NPB"], runner=runner, timings=timings)
-            clgen = build_clgen(config, timings=timings, runner=runner)
-            data = synthesize_and_measure(
-                config, data, clgen=clgen, timings=timings, runner=runner
-            )
-            return data, timings
+            data = measure_suites(config, suites=["NPB"], runner=runner)
+            clgen = build_clgen(config, runner=runner)
+            return synthesize_and_measure(config, data, clgen=clgen, runner=runner)
 
         cold_runner = PipelineRunner(store=ArtifactStore(directory=directory))
-        cold_data, cold_timings = run(cold_runner)
-        assert set(cold_timings) == {"preprocess", "train", "sample", "execute"}
+        cold_data = run(cold_runner)
+        assert set(cold_runner.phase_seconds()) == {"preprocess", "train", "sample", "execute"}
 
         warm_runner = PipelineRunner(store=ArtifactStore(directory=directory))
-        warm_data, _ = run(warm_runner)
+        warm_data = run(warm_runner)
         counts = warm_runner.stage_counts()
         assert counts["execute"] == {"hit": 2, "miss": 0}
         assert counts["sample"] == {"hit": 1, "miss": 0}
