@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: the tier-1 sweep, then (opt-in) the chaos soak and the
-# static-analyzer soundness leg.
+# CI entry point: the tier-1 sweep, then (opt-in) the chaos soak, the
+# static-analyzer soundness leg and the report-digest leg.
 #
 #   scripts/ci_check.sh            # tier-1 only: the merge gate
 #   CHAOS=1 scripts/ci_check.sh    # + the -m chaos soak: the fault menu
@@ -12,6 +12,11 @@
 #                                  #   request), and runs the four-way engine
 #                                  #   differential (71 suite + 500
 #                                  #   synthesized kernels)
+#   REPORTS=1 scripts/ci_check.sh  # + the report-digest leg: quick-scale
+#                                  #   run_all for seeds 0-19, one fresh
+#                                  #   process each, whose rendered report
+#                                  #   must hash to perfbench/
+#                                  #   expected_reports.json (~2 minutes)
 #
 # Tier-1 is every default-selected test under tests/ — the chaos soak
 # stays opt-in because it spawns real worker fleets, which are too heavy
@@ -42,6 +47,11 @@ if [[ "${LINT:-0}" != "0" ]]; then
     # specialized lockstep bit-identical on every suite kernel and 500
     # synthesized ones.
     python scripts/verify_specialization.py --count 500
+fi
+
+if [[ "${REPORTS:-0}" != "0" ]]; then
+    echo "== reports: experiments report digests, seeds 0-19 =="
+    python scripts/check_reports.py
 fi
 
 echo "ci_check: OK"

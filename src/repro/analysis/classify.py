@@ -224,9 +224,7 @@ def classify(facts: KernelFacts, rejection: str | None) -> KernelVerdict:
         race_sites=len(races),
         step_estimate=facts.step_estimate,
         flags=frozenset(facts.flags),
-        specialization=SpecializationFacts(
-            facts.kernel_name, eligible=classification is Classification.SAFE
-        ),
+        specialization=SpecializationFacts(eligible=classification is Classification.SAFE),
     )
 
 

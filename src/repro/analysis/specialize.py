@@ -36,7 +36,6 @@ from dataclasses import dataclass
 class SpecializationFacts:
     """Whether the analyzer-guided fast path is sound for one kernel."""
 
-    kernel_name: str
     #: Build a specialized artifact at all (requires SAFE).
     eligible: bool = False
 

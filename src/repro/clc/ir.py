@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
+from functools import cached_property
 
 
 class OpCategory(Enum):
@@ -71,6 +72,11 @@ _OPCODE_CATEGORIES: dict[str, OpCategory] = {
     "label": OpCategory.LABEL,
     "atom": OpCategory.STORE,
 }
+
+#: The categories that count as compute operations.
+_COMPUTE_CATEGORIES = frozenset(
+    (OpCategory.ARITHMETIC, OpCategory.LOGICAL, OpCategory.COMPARISON, OpCategory.CONVERSION)
+)
 
 
 @dataclass
@@ -134,51 +140,58 @@ class IRFunction:
     instructions: list[Instruction] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    # Static counting helpers (the numbers the rejection filter and the
-    # Grewe feature extractor are built from).
+    # Static counts (the numbers the rejection filter and the Grewe feature
+    # extractor are built from).  Only lowering appends instructions, so a
+    # finished function is counted once, on first read, in one pass.
     # ------------------------------------------------------------------
+
+    @cached_property
+    def _counts(self) -> tuple[int, int, int, int, int, int]:
+        """(static, compute, global, local, coalesced, branch) counts."""
+        static = compute = global_ = local = coalesced = branch = 0
+        for inst in self.instructions:
+            category = inst.category
+            if category is OpCategory.LABEL:
+                continue
+            static += 1
+            if category in _COMPUTE_CATEGORIES:
+                compute += 1
+            elif category is OpCategory.BRANCH:
+                branch += 1
+            elif inst.is_memory_access:
+                if inst.address_space == "global":
+                    global_ += 1
+                    if inst.coalesced:
+                        coalesced += 1
+                elif inst.address_space == "local":
+                    local += 1
+        return static, compute, global_, local, coalesced, branch
 
     @property
     def static_instruction_count(self) -> int:
         """Number of real (non-label) static instructions."""
-        return sum(1 for inst in self.instructions if inst.category is not OpCategory.LABEL)
-
-    def count_category(self, category: OpCategory) -> int:
-        return sum(1 for inst in self.instructions if inst.category is category)
+        return self._counts[0]
 
     @property
     def compute_operations(self) -> int:
         """Arithmetic, logical, comparison and conversion operations."""
-        return sum(
-            1
-            for inst in self.instructions
-            if inst.category
-            in (OpCategory.ARITHMETIC, OpCategory.LOGICAL, OpCategory.COMPARISON, OpCategory.CONVERSION)
-        )
+        return self._counts[1]
 
     @property
     def global_memory_accesses(self) -> int:
-        return sum(
-            1 for inst in self.instructions if inst.is_memory_access and inst.address_space == "global"
-        )
+        return self._counts[2]
 
     @property
     def local_memory_accesses(self) -> int:
-        return sum(
-            1 for inst in self.instructions if inst.is_memory_access and inst.address_space == "local"
-        )
+        return self._counts[3]
 
     @property
     def coalesced_memory_accesses(self) -> int:
-        return sum(
-            1
-            for inst in self.instructions
-            if inst.is_memory_access and inst.address_space == "global" and inst.coalesced
-        )
+        return self._counts[4]
 
     @property
     def branch_operations(self) -> int:
-        return self.count_category(OpCategory.BRANCH)
+        return self._counts[5]
 
     def render(self) -> str:
         """Render the function as PTX-flavoured text."""

@@ -9,10 +9,14 @@ are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _gini(class_counts: list[int], total: int) -> float:
+    """Gini impurity of *total* samples with these per-class counts."""
+    return 1.0 - sum([(count / total) ** 2 for count in class_counts])
 
 
 @dataclass
@@ -53,36 +57,50 @@ class DecisionTreeClassifier:
             raise ValueError("features must be 2D and aligned with labels")
         if data.shape[0] == 0:
             raise ValueError("cannot fit a tree on zero samples")
-        targets = np.asarray(labels, dtype=object)
         self.feature_count = data.shape[1]
         self.classes_ = tuple(sorted(set(labels)))
-        self.root = self._grow(data, targets, depth=0)
+        code = {label: index for index, label in enumerate(self.classes_)}
+        # One row per sample, one column per class: a 1 in the label's column.
+        one_hot = np.eye(len(self.classes_), dtype=np.int64)[[code[label] for label in labels]]
+        self.root = self._grow(data, one_hot, depth=0)
         return self
 
-    @staticmethod
-    def _gini(targets: np.ndarray) -> float:
-        if targets.size == 0:
-            return 0.0
-        counts = Counter(targets.tolist())
-        total = targets.size
-        return 1.0 - sum((count / total) ** 2 for count in counts.values())
-
-    @staticmethod
-    def _majority(targets: np.ndarray) -> str:
-        counts = Counter(targets.tolist())
+    def _majority(self, class_counts: list[int]) -> str:
         # Deterministic tie-break: lexicographically smallest most-common label.
-        best = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))[0][0]
-        return str(best)
+        best = min(
+            range(len(class_counts)),
+            key=lambda index: (-class_counts[index], str(self.classes_[index])),
+        )
+        return str(self.classes_[best])
 
-    def _grow(self, data: np.ndarray, targets: np.ndarray, depth: int) -> TreeNode:
+    def _grow(self, data: np.ndarray, one_hot: np.ndarray, depth: int) -> TreeNode:
+        """Grow the subtree of the samples in *data* (labels as *one_hot* rows).
+
+        A feature's candidate thresholds are the midpoints of its unique
+        values.  Each column is sorted once per node: a threshold's left
+        count is the number of sorted values ``<=`` it (``searchsorted``
+        with ``side="right"``, which equals the mask count even when a
+        midpoint rounds onto the upper value), and the per-class counts on
+        each side come from cumulative class counts in sorted order.  Gains
+        are Python floats computed from Python ints, so they are the same
+        bits as a per-threshold mask-and-count search would give.  Features
+        are scored in index order and thresholds ascending, and a split
+        replaces the best only if its gain is larger by more than 1e-12.
+        Gini sums its per-class terms in class order; for two classes (the
+        mapping labels, ``cpu`` and ``gpu``) that sum does not depend on
+        the order.
+        """
+        total = one_hot.shape[0]
+        class_totals = one_hot.sum(axis=0)
+        class_counts = class_totals.tolist()
         node = TreeNode(
-            prediction=self._majority(targets),
-            samples=int(targets.size),
-            impurity=self._gini(targets),
+            prediction=self._majority(class_counts),
+            samples=total,
+            impurity=_gini(class_counts, total),
         )
         if (
             depth >= self.max_depth
-            or targets.size < self.min_samples_split
+            or total < self.min_samples_split
             or node.impurity == 0.0
         ):
             return node
@@ -90,27 +108,40 @@ class DecisionTreeClassifier:
         best_gain = 0.0
         best_split: tuple[int, float] | None = None
         parent_impurity = node.impurity
-        total = targets.size
+        # A threshold that leaves one side empty scores a gain of exactly 0,
+        # which never wins, so both sides need at least one sample.
+        min_leaf = max(self.min_samples_leaf, 1)
+        # cumulative[k, f] holds the class counts of the first k samples in
+        # feature f's sorted order.
+        orders = np.argsort(data, axis=0, kind="stable")
+        columns = np.take_along_axis(data, orders, axis=0)
+        sorted_labels = one_hot[orders]
+        cumulative = np.zeros((total + 1, *sorted_labels.shape[1:]), dtype=np.int64)
+        np.cumsum(sorted_labels, axis=0, out=cumulative[1:])
 
         for feature_index in range(data.shape[1]):
-            column = data[:, feature_index]
+            column = columns[:, feature_index]
             candidates = np.unique(column)
             if candidates.size < 2:
                 continue
             thresholds = (candidates[:-1] + candidates[1:]) / 2.0
-            for threshold in thresholds:
-                left_mask = column <= threshold
-                left_count = int(left_mask.sum())
-                right_count = total - left_count
-                if left_count < self.min_samples_leaf or right_count < self.min_samples_leaf:
-                    continue
+            left_counts = np.searchsorted(column, thresholds, side="right")
+            allowed = (left_counts >= min_leaf) & (total - left_counts >= min_leaf)
+            left_counts = left_counts[allowed]
+            left_classes = cumulative[left_counts, feature_index]
+            for threshold, left, left_k, right_k in zip(
+                thresholds[allowed].tolist(),
+                left_counts.tolist(),
+                left_classes.tolist(),
+                (class_totals - left_classes).tolist(),
+            ):
+                right = total - left
                 gain = parent_impurity - (
-                    left_count / total * self._gini(targets[left_mask])
-                    + right_count / total * self._gini(targets[~left_mask])
+                    left / total * _gini(left_k, left) + right / total * _gini(right_k, right)
                 )
                 if gain > best_gain + 1e-12:
                     best_gain = gain
-                    best_split = (feature_index, float(threshold))
+                    best_split = (feature_index, threshold)
 
         if best_split is None:
             return node
@@ -119,8 +150,8 @@ class DecisionTreeClassifier:
         left_mask = data[:, feature_index] <= threshold
         node.feature_index = feature_index
         node.threshold = threshold
-        node.left = self._grow(data[left_mask], targets[left_mask], depth + 1)
-        node.right = self._grow(data[~left_mask], targets[~left_mask], depth + 1)
+        node.left = self._grow(data[left_mask], one_hot[left_mask], depth + 1)
+        node.right = self._grow(data[~left_mask], one_hot[~left_mask], depth + 1)
         return node
 
     # ------------------------------------------------------------------

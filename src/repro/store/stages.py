@@ -356,20 +356,16 @@ class PipelineRunner:
     # Event accounting.
     # ------------------------------------------------------------------
 
-    def mark(self) -> int:
-        """A position in the event log (see :meth:`phase_seconds`)."""
-        return len(self.events)
-
-    def stage_counts(self, since: int = 0) -> dict[str, dict[str, int]]:
-        """``{stage: {"hit": n, "miss": m}}`` over events from *since*."""
+    def stage_counts(self) -> dict[str, dict[str, int]]:
+        """``{stage: {"hit": n, "miss": m}}`` over the event log."""
         counts: dict[str, dict[str, int]] = {}
-        for event in self.events[since:]:
+        for event in self.events:
             bucket = counts.setdefault(event.stage, {"hit": 0, "miss": 0})
             bucket["hit" if event.hit else "miss"] += 1
         return counts
 
-    def phase_seconds(self, since: int = 0) -> dict[str, float]:
-        """Per-benchmark-phase seconds over events from *since*.
+    def phase_seconds(self) -> dict[str, float]:
+        """Per-benchmark-phase seconds over the event log.
 
         Sums each event's exclusive seconds.  With a shard worker pool
         (``workers > 1``) pool-computed shards report their worker's
@@ -377,7 +373,7 @@ class PipelineRunner:
         upper bound on (not equal to) its wall-clock.
         """
         phases: dict[str, float] = {}
-        for event in self.events[since:]:
+        for event in self.events:
             phase = STAGE_PHASES.get(event.stage, event.stage)
             phases[phase] = phases.get(phase, 0.0) + event.seconds
         return phases

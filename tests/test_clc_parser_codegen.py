@@ -6,9 +6,13 @@ import pytest
 
 from repro.clc import ast_nodes as ast
 from repro.clc import check, compile_source, lower, parse, parse_kernel
+from repro.clc.ir import IRFunction, OpCategory
 from repro.clc.printer import print_source
 from repro.clc.types import AddressSpace, PointerType, VectorType
 from repro.errors import ParseError, SemanticError
+from repro.preprocess.shim import shim_include_resolver, with_shim
+from repro.suites.registry import all_benchmarks
+from repro.synthesis import CLgen
 
 
 class TestParser:
@@ -171,6 +175,64 @@ class TestCodegen:
         result = compile_source(vecadd_source)
         assert result.static_instruction_count > 0
         assert [k.name for k in result.kernels] == ["A"]
+
+
+def oracle_counts(function: IRFunction) -> tuple[int, int, int, int, int, int]:
+    """The per-property counts, one generator per count, that the one-pass
+    counts replaced: (static, compute, global, local, coalesced, branch)."""
+    instructions = function.instructions
+    compute = (
+        OpCategory.ARITHMETIC, OpCategory.LOGICAL, OpCategory.COMPARISON, OpCategory.CONVERSION
+    )
+    return (
+        sum(1 for inst in instructions if inst.category is not OpCategory.LABEL),
+        sum(1 for inst in instructions if inst.category in compute),
+        sum(1 for inst in instructions if inst.is_memory_access and inst.address_space == "global"),
+        sum(1 for inst in instructions if inst.is_memory_access and inst.address_space == "local"),
+        sum(
+            1
+            for inst in instructions
+            if inst.is_memory_access and inst.address_space == "global" and inst.coalesced
+        ),
+        sum(1 for inst in instructions if inst.category is OpCategory.BRANCH),
+    )
+
+
+def counts(function: IRFunction) -> tuple[int, int, int, int, int, int]:
+    return (
+        function.static_instruction_count,
+        function.compute_operations,
+        function.global_memory_accesses,
+        function.local_memory_accesses,
+        function.coalesced_memory_accesses,
+        function.branch_operations,
+    )
+
+
+class TestStaticCounts:
+    def test_counts_match_the_oracle_on_suite_and_synthesized_kernels(self):
+        suite_sources = [benchmark.source for benchmark in all_benchmarks()]
+        synthesized = CLgen.from_github(40, seed=0).generate_kernels(100, seed=0).kernels
+        assert len(suite_sources) == 71 and len(synthesized) >= 50
+        functions = [
+            function
+            for source in suite_sources + [kernel.source for kernel in synthesized]
+            for function in compile_source(
+                with_shim(source), include_resolver=shim_include_resolver, strict=False
+            ).ir.functions
+        ]
+        mismatches = [f.name for f in functions if counts(f) != oracle_counts(f)]
+        assert mismatches == []
+        assert sum(f.local_memory_accesses for f in functions) > 0
+        assert sum(f.coalesced_memory_accesses for f in functions) > 0
+
+    def test_counts_stay_out_of_repr_and_eq(self, vecadd_source):
+        counted = lower(parse(vecadd_source)).function("A")
+        fresh = lower(parse(vecadd_source)).function("A")
+        before = repr(counted)
+        assert counted.static_instruction_count > 0
+        assert repr(counted) == before == repr(fresh)
+        assert counted == fresh
 
 
 class TestPrinter:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,7 @@ from repro.predictive import (
     ExtendedModel,
     GreweModel,
     PredictionOutcome,
+    TreeNode,
     best_static_device,
     geometric_mean,
     group_by_benchmark,
@@ -230,6 +233,111 @@ class TestDecisionTree:
         tree.fit(features, labels)
         majority = max(labels.count("cpu"), labels.count("gpu")) / len(labels)
         assert tree.accuracy(features, labels) >= majority - 1e-9
+
+
+def mask_oracle_tree(
+    features: list[list[float]],
+    labels: list[str],
+    max_depth: int,
+    min_samples_leaf: int,
+    min_samples_split: int,
+) -> TreeNode:
+    """The mask + ``Counter`` split search that the presorted search replaced.
+
+    Every candidate threshold re-masks the column and counts both sides'
+    labels from scratch; kept here as the reference for
+    :class:`DecisionTreeClassifier`'s growth rules.
+    """
+
+    def gini(targets: np.ndarray) -> float:
+        if targets.size == 0:
+            return 0.0
+        counts = Counter(targets.tolist())
+        return 1.0 - sum((count / targets.size) ** 2 for count in counts.values())
+
+    def majority(targets: np.ndarray) -> str:
+        counts = Counter(targets.tolist())
+        return str(sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))[0][0])
+
+    def grow(data: np.ndarray, targets: np.ndarray, depth: int) -> TreeNode:
+        node = TreeNode(
+            prediction=majority(targets), samples=int(targets.size), impurity=gini(targets)
+        )
+        if depth >= max_depth or targets.size < min_samples_split or node.impurity == 0.0:
+            return node
+        best_gain, best_split = 0.0, None
+        total = targets.size
+        for feature_index in range(data.shape[1]):
+            column = data[:, feature_index]
+            candidates = np.unique(column)
+            if candidates.size < 2:
+                continue
+            for threshold in (candidates[:-1] + candidates[1:]) / 2.0:
+                left_mask = column <= threshold
+                left_count = int(left_mask.sum())
+                right_count = total - left_count
+                if left_count < min_samples_leaf or right_count < min_samples_leaf:
+                    continue
+                gain = node.impurity - (
+                    left_count / total * gini(targets[left_mask])
+                    + right_count / total * gini(targets[~left_mask])
+                )
+                if gain > best_gain + 1e-12:
+                    best_gain, best_split = gain, (feature_index, float(threshold))
+        if best_split is None:
+            return node
+        node.feature_index, node.threshold = best_split
+        left_mask = data[:, node.feature_index] <= node.threshold
+        node.left = grow(data[left_mask], targets[left_mask], depth + 1)
+        node.right = grow(data[~left_mask], targets[~left_mask], depth + 1)
+        return node
+
+    return grow(np.asarray(features, dtype=float), np.asarray(labels, dtype=object), 0)
+
+
+def tree_nodes(node: TreeNode | None) -> list[tuple]:
+    """Every node of a tree in preorder, as the fields a fit decides."""
+    if node is None:
+        return [None]
+    return [
+        (node.feature_index, node.threshold, node.prediction, node.samples, node.impurity),
+        *tree_nodes(node.left),
+        *tree_nodes(node.right),
+    ]
+
+
+class TestSplitSearchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(1, 40),
+        columns=st.integers(1, 4),
+        high=st.integers(1, 6),
+        scale=st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.0**-52]),
+        max_depth=st.integers(0, 7),
+        min_samples_leaf=st.integers(0, 4),
+        min_samples_split=st.integers(0, 6),
+    )
+    def test_presorted_search_grows_the_oracle_tree(
+        self, data, rows, columns, high, scale, max_depth, min_samples_leaf, min_samples_split
+    ):
+        """Small-integer columns tie often, so many thresholds score alike
+        and the first-best rule decides the split.  At scale 2**-52 the
+        values are adjacent floats above 1.0, and half of the midpoints
+        round onto the upper value."""
+        row = st.lists(st.integers(0, high), min_size=columns, max_size=columns)
+        matrix = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        features = [[1.0 + value * scale for value in values] for values in matrix]
+        labels = data.draw(st.lists(st.sampled_from(["cpu", "gpu"]), min_size=rows, max_size=rows))
+        tree = DecisionTreeClassifier(
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split,
+        ).fit(features, labels)
+        oracle = mask_oracle_tree(
+            features, labels, max_depth, min_samples_leaf, min_samples_split
+        )
+        assert tree_nodes(tree.root) == tree_nodes(oracle)
 
 
 class TestPredictiveModels:

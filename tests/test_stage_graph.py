@@ -188,15 +188,16 @@ class TestPhaseAccounting:
         config = tiny_config()
         runner = PipelineRunner(store=ArtifactStore(directory=tmp_path / "store"))
         runner.synthesis(config)
-        mark = runner.mark()
+        mark = len(runner.events)
         runner.synthetic_measurements(config)
         # The execute compute re-resolves its upstream sample artifact (a
         # store hit), so the slice holds one execute miss plus that hit.
-        assert set(runner.phase_seconds(mark)) == {"sample", "execute"}
-        assert runner.stage_counts(mark) == {
-            "sample": {"hit": 1, "miss": 0},
-            "execute": {"hit": 0, "miss": 1},
-        }
+        sliced = runner.events[mark:]
+        assert {STAGE_PHASES[event.stage] for event in sliced} == {"sample", "execute"}
+        assert sorted((event.stage, event.hit) for event in sliced) == [
+            ("execute", False),
+            ("sample", True),
+        ]
 
 
 class TestExperimentHarnessIntegration:
@@ -253,10 +254,10 @@ class TestExperimentHarnessIntegration:
         ad_hoc = CLgen.from_corpus(corpus, backend="ngram", ngram_order=6)
         runner = PipelineRunner(store=ArtifactStore(directory=tmp_path / "store"))
         data = measure_suites(config, suites=["NPB"], runner=runner)
-        mark = runner.mark()
+        mark = len(runner.events)
         with pytest.raises(ValueError, match="fingerprint"):
             synthesize_and_measure(config, data, clgen=ad_hoc, runner=runner)
         # Nothing was sampled or measured on the synthetic side.
-        assert runner.stage_counts(mark) == {}
+        assert runner.events[mark:] == []
         assert data.synthesis is None
         assert data.synthetic_measurements == []
