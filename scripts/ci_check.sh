@@ -10,8 +10,9 @@
 #                                  #   cross-checks static vs dynamic (suite
 #                                  #   kernels + one 500-kernel synthesis
 #                                  #   request), and runs the four-way engine
-#                                  #   differential (71 suite + 500
-#                                  #   synthesized kernels)
+#                                  #   differential (71 suite kernels at
+#                                  #   32/8 and at 2048/32, plus 500
+#                                  #   synthesized kernels; ~2.5 minutes)
 #   REPORTS=1 scripts/ci_check.sh  # + the report-digest leg: quick-scale
 #                                  #   run_all for seeds 0-19, one fresh
 #                                  #   process each, whose rendered report
@@ -44,8 +45,9 @@ if [[ "${LINT:-0}" != "0" ]]; then
     python -m repro lint --soundness --synthesized 500
     # The SAFE verdict's race-freedom has no dynamic guard: the specialized
     # lockstep tier trusts it, so hold interpreter, closure, generic and
-    # specialized lockstep bit-identical on every suite kernel and 500
-    # synthesized ones.
+    # specialized lockstep bit-identical on every suite kernel (at global
+    # 32 / local 8 and at measure-wide's 2048 / 32) and 500 synthesized
+    # ones.
     python scripts/verify_specialization.py --count 500
 fi
 

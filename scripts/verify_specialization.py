@@ -5,7 +5,10 @@ Synthesizes ``--count`` kernels (default 500) with the trained CLgen model
 and executes every one through all four engines — legacy interpreter,
 closure compiler, generic lockstep, and the analyzer-specialized lockstep
 tier — asserting bit-identical buffer contents and identical execution
-stats at every step.  It also re-checks every suite kernel, and verifies
+stats at every step.  It also re-checks every suite kernel, at global size
+32 / local size 8 and again at the ``measure-wide`` workload's global
+2048 / local 32, where group kernels run many work-groups per lockstep
+chunk and 2-D kernels have partial groups.  And it verifies
 the sample-time compile seeding (``compile_parsed_body`` →
 ``seed_compiled_source``) against a fresh frontend run: printed unit, IR
 pickle and semantics pickle must match byte-for-byte.
@@ -13,8 +16,10 @@ pickle and semantics pickle must match byte-for-byte.
 The specialized tier skips hazard tracking on every buffer of a kernel the
 race pass proved race-free (SAFE), with no dynamic guard behind that
 proof; this run is the large-scale check of it against the interpreter,
-and the ``LINT=1`` leg of ``scripts/ci_check.sh`` runs it.  Exit status is
-non-zero on any divergence.
+and the ``LINT=1`` leg of ``scripts/ci_check.sh`` runs it.  On a 2-vCPU
+host it takes about 2.5 minutes, most of it the interpreter and the
+closure engine on the suite at 2048 / 32.  Exit status is non-zero on any
+divergence.
 
 Usage::
 
@@ -66,8 +71,15 @@ def _diff(reference, candidate) -> str | None:
     return None
 
 
-def _verify_kernel(source: str, counters: dict[str, int], failures: list[str]) -> None:
-    """Run one kernel through all four engines and record agreement."""
+def _verify_kernel(
+    source: str,
+    counters: dict[str, int],
+    failures: list[str],
+    global_size: int = 32,
+    local_size: int = 8,
+) -> None:
+    """Run one kernel through all four engines at one launch geometry and
+    record agreement."""
     from repro.analysis import analyze_kernel
     from repro.clc import compile_source
     from repro.driver.harness import HostDriver
@@ -82,7 +94,9 @@ def _verify_kernel(source: str, counters: dict[str, int], failures: list[str]) -
     ).unit
     kernel = unit.kernels[0]
     work_dim = HostDriver._kernel_work_dim(kernel)
-    generator = PayloadGenerator(PayloadConfig(global_size=32, local_size=8, seed=3))
+    generator = PayloadGenerator(
+        PayloadConfig(global_size=global_size, local_size=local_size, seed=3)
+    )
     payload = generator.generate(kernel, work_dim=work_dim)
     clones = [payload.clone() for _ in range(3)]
 
@@ -202,11 +216,18 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
 
     suite_kernels = 0
-    for suite in all_suites():
-        for benchmark in suite.benchmarks:
-            _verify_kernel(benchmark.source, counters, failures)
-            suite_kernels += 1
-    print(f"suite kernels verified: {suite_kernels}")
+    for global_size, local_size in ((32, 8), (2048, 32)):
+        started = time.perf_counter()
+        for suite in all_suites():
+            for benchmark in suite.benchmarks:
+                _verify_kernel(
+                    benchmark.source, counters, failures, global_size, local_size
+                )
+                suite_kernels += 1
+        print(
+            f"suite kernels verified at {global_size}/{local_size} "
+            f"in {time.perf_counter() - started:.1f}s"
+        )
 
     started = time.perf_counter()
     config = ExperimentConfig.full()
@@ -237,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"seeded compilations checked against fresh compiles: {seeded_checked}")
 
     total = suite_kernels + len(sources)
-    print(f"kernels verified four-way: {total}")
+    print(f"kernel launches verified four-way: {total}")
     for name in sorted(counters):
         print(f"  {name:<18}{counters[name]:>6}")
     if failures:

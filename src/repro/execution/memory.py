@@ -180,6 +180,14 @@ class Buffer:
         )
 
 
+#: Commutative atomic families: two integer atomic executions of one family
+#: leave a cell with the same value in either order.  Every other atomic
+#: (xchg, and any atomic on a float buffer) is family 0.
+_ATOMIC_FAMILIES = {
+    "add": 1, "sub": 1, "inc": 1, "dec": 1, "min": 2, "max": 3, "and": 4, "or": 5, "xor": 6,
+}
+
+
 class LockstepBuffer:
     """A NumPy view of one :class:`Buffer` for the vectorized (SIMT) tier.
 
@@ -208,12 +216,44 @@ class LockstepBuffer:
     pattern) passes untouched, and duplicate indices within one scatter
     match sequential order because NumPy fancy assignment is
     last-write-wins in lane order.
+
+    Atomics poison the cells they update: ``writer`` becomes
+    ``-2 - family`` (see ``_ATOMIC_FAMILIES``).  Any later plain access to a
+    poisoned cell bails out, by whichever lane: lockstep has applied every
+    lane's update, sequential order only the lower lanes'.  A later atomic
+    on a poisoned cell is exact only when both executions are integer
+    updates of one commutative family — {add, sub, inc, dec}, or the same
+    one of min, max, and, or, xor — because the scalar engines interleave
+    the two item by item and lockstep runs them statement by statement.
+
+    **Chunks of several work-groups.**  Between :meth:`begin_chunk` and
+    :meth:`end_chunk` the lanes span several work-groups in group order
+    (``lane_group``).  Barriers reset the per-lane trackers, but the scalar
+    engines finish group g before group g + 1 starts, so order between
+    groups must hold across barriers too.  Global and constant buffers keep
+    chunk-wide trackers: ``group_writer`` (the highest group that wrote the
+    cell) and ``group_reader_max`` (the highest group that read it).  A
+    group that reads or writes a cell another group wrote, or writes a cell
+    a higher group read, bails out; atomics across groups follow the family
+    rule above (``group_family`` is the family of every write to the cell,
+    0 once a plain store or a family-0 atomic wrote it).
+
+    A ``__local`` buffer is instead split into one *slice* per group, each
+    filled with the buffer's contents at the start of the chunk; lane ``L``
+    sees its group's slice at ``lane_offset[L]``.  Sequentially, group g
+    starts from group g - 1's final contents, so a group's read (or atomic)
+    of a cell it has not yet written is exact only when no earlier group of
+    the chunk writes that cell.  That is checked at the read and again by
+    :meth:`end_chunk`, which then gives every cell the value of the last
+    group that wrote it.  Access counts are the slices' sum.
     """
 
     __slots__ = (
         "source", "name", "size", "element_kind", "is_float", "address_space",
         "data", "writer", "reader_max", "reads", "writes", "out_of_bounds",
-        "track_hazards",
+        "track_hazards", "lane_group", "group_writer", "group_reader_max",
+        "group_family", "lane_offset", "chunk_start", "written", "first_writer",
+        "carried_max",
     )
 
     def __init__(self, source: Buffer, *, track_hazards: bool = True):
@@ -245,10 +285,58 @@ class LockstepBuffer:
         self.reads = 0
         self.writes = 0
         self.out_of_bounds = 0
+        # Multi-group chunk state (see the class docstring); None outside one.
+        self.lane_group: np.ndarray | None = None
+        self.group_writer = self.group_reader_max = self.group_family = None
+        self.lane_offset: np.ndarray | None = None
+        self.chunk_start = self.written = self.first_writer = self.carried_max = None
 
-    def _tracker(self) -> np.ndarray:
-        """A fresh ``(size,)`` int64 tracker initialised to -1 (no lane)."""
-        return np.full(self.size, -1, dtype=np.int64)
+    @staticmethod
+    def _tracker(size: int) -> np.ndarray:
+        """A fresh ``(size,)`` int64 tracker initialised to -1 (nobody)."""
+        return np.full(size, -1, dtype=np.int64)
+
+    # ------------------------------------------------------------------
+    # Barrier epochs and chunks.
+    # ------------------------------------------------------------------
+
+    def new_epoch(self) -> None:
+        """Forget per-lane accesses: earlier writes are committed state."""
+        self.writer = None
+        self.reader_max = None
+
+    def begin_chunk(self, lane_group: np.ndarray | None, groups: int) -> None:
+        """Start a lockstep pass; *lane_group* maps each lane to its group
+        within a chunk of several work-groups, ``None`` for any other pass."""
+        self.new_epoch()
+        if lane_group is None:
+            return
+        self.lane_group = lane_group
+        if self.address_space == "local":
+            self.chunk_start = self.data
+            self.data = np.tile(self.data, groups)
+            self.lane_offset = lane_group * self.size
+            self.written = np.zeros(self.data.size, dtype=bool)
+            self.first_writer = np.full(self.size, groups, dtype=np.int64)
+            self.carried_max = self._tracker(self.size)
+
+    def end_chunk(self) -> None:
+        """Finish a multi-group chunk: check carried reads, merge slices."""
+        if self.lane_offset is not None:
+            if np.any(self.first_writer < self.carried_max):
+                raise LockstepBailout(
+                    f"__local read carried past an earlier group's write on {self.name!r}"
+                )
+            if self.size:
+                groups = self.data.size // self.size
+                written = self.written.reshape(groups, self.size)
+                cells = np.flatnonzero(written.any(axis=0))
+                last = groups - 1 - np.argmax(written[::-1, cells], axis=0)
+                self.chunk_start[cells] = self.data.reshape(groups, self.size)[last, cells]
+            self.data = self.chunk_start
+        self.lane_group = self.group_writer = self.group_reader_max = self.group_family = None
+        self.lane_offset = self.chunk_start = self.written = None
+        self.first_writer = self.carried_max = None
 
     # ------------------------------------------------------------------
 
@@ -261,6 +349,8 @@ class LockstepBuffer:
         """
         if self.size == 0:
             return 0
+        if self.lane_offset is not None:
+            raise LockstepBailout(f"pointer-as-scalar read of sliced __local {self.name!r}")
         if lane_ids is not None and self.track_hazards:
             # _record_read checks hazards and tracks readers without touching
             # the read/write counters (to_list() is not a counted access).
@@ -287,6 +377,11 @@ class LockstepBuffer:
         kind = "f" if self.is_float else "i"
         count = n if mask is None else int(mask.sum())
         self.reads += count
+        if np.ndim(index_data) == 0 and self.lane_offset is not None:
+            # Each group reads its own slice, so the lanes' values differ.
+            # Clamping to [-1, size] keeps the out-of-bounds verdict.
+            index = min(max(int(index_data), -1), self.size)
+            index_data = np.full(n, index, dtype=np.int64)
         if np.ndim(index_data) == 0:
             index = int(index_data)
             if not 0 <= index < self.size:
@@ -303,9 +398,7 @@ class LockstepBuffer:
             clamped = self._clamp(index_data, None)
             if self.size == 0:
                 return (kind, np.zeros(n, dtype=self.data.dtype))
-            if self.track_hazards:
-                self._record_read(clamped, lane_ids)
-            return (kind, self.data[clamped])
+            return (kind, self.data[self._record_read(clamped, lane_ids)])
         sub_index = index_data[mask]
         in_range = (sub_index >= 0) & (sub_index < self.size)
         oob_count = int((~in_range).sum())
@@ -315,22 +408,137 @@ class LockstepBuffer:
         if self.size == 0:
             return (kind, out)
         clamped = np.clip(sub_index, 0, self.size - 1)
-        if self.track_hazards:
-            self._record_read(clamped, lane_ids[mask])
-        out[mask] = self.data[clamped]
+        out[mask] = self.data[self._record_read(clamped, lane_ids[mask])]
         return (kind, out)
 
-    def _record_read(self, cells: np.ndarray, readers: np.ndarray) -> None:
+    # ------------------------------------------------------------------
+    # Access bookkeeping: each takes logical cells and the accessing lanes,
+    # bails out on a hazard, and returns the cells' positions in ``data``.
+    # ------------------------------------------------------------------
+
+    def _spots(self, cells: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return cells if self.lane_offset is None else cells + self.lane_offset[lanes]
+
+    def _group_tracked(self) -> bool:
+        return self.lane_group is not None and self.lane_offset is None
+
+    def _carry(self, cells: np.ndarray, spots: np.ndarray, lanes: np.ndarray) -> None:
+        """Note reads of slice cells the lane's group has not yet written."""
+        fresh = ~self.written[spots]
+        if not fresh.any():
+            return
+        cells = cells[fresh]
+        groups = self.lane_group[lanes[fresh]]
+        if np.any(self.first_writer[cells] < groups):
+            raise LockstepBailout(
+                f"__local read carried past an earlier group's write on {self.name!r}"
+            )
+        # Groups ascend with lanes, so last-write-wins keeps the maximum.
+        self.carried_max[cells] = np.maximum(self.carried_max[cells], groups)
+
+    def _mark_written(self, cells: np.ndarray, spots: np.ndarray, lanes: np.ndarray) -> None:
+        self.written[spots] = True
+        lowest = np.minimum(self.first_writer[cells], self.lane_group[lanes])
+        # Assigning in reverse lane order keeps each cell's lowest group.
+        self.first_writer[cells[::-1]] = lowest[::-1]
+
+    def _record_read(self, cells: np.ndarray, readers: np.ndarray) -> np.ndarray:
         """Check the read against past writers and remember the reader."""
+        spots = self._spots(cells, readers)
+        if self.lane_offset is not None:
+            self._carry(cells, spots, readers)
+        if not self.track_hazards:
+            return spots
         if self.writer is not None:
-            owners = self.writer[cells]
-            if np.any((owners >= 0) & (owners != readers)):
+            owners = self.writer[spots]
+            if np.any((owners != -1) & (owners != readers)):
                 raise LockstepBailout(f"cross-lane read-after-write hazard on {self.name!r}")
         if self.reader_max is None:
-            self.reader_max = self._tracker()
+            self.reader_max = self._tracker(self.data.size)
         # Lane ids ascend within a scatter, so last-write-wins keeps the max
         # even for duplicate cells.
-        self.reader_max[cells] = np.maximum(self.reader_max[cells], readers)
+        self.reader_max[spots] = np.maximum(self.reader_max[spots], readers)
+        if self._group_tracked():
+            groups = self.lane_group[readers]
+            if self.group_writer is not None:
+                owners = self.group_writer[cells]
+                if np.any((owners != -1) & (owners != groups)):
+                    raise LockstepBailout(f"cross-group read-after-write hazard on {self.name!r}")
+            if self.group_reader_max is None:
+                self.group_reader_max = self._tracker(self.size)
+            self.group_reader_max[cells] = np.maximum(self.group_reader_max[cells], groups)
+        return spots
+
+    def _record_write(self, cells: np.ndarray, writers: np.ndarray) -> np.ndarray:
+        """Check a plain write against past accesses and remember the writer."""
+        spots = self._spots(cells, writers)
+        if self.lane_offset is not None:
+            self._mark_written(cells, spots, writers)
+        if not self.track_hazards:
+            return spots
+        if self.writer is None:
+            self.writer = self._tracker(self.data.size)
+        else:
+            owners = self.writer[spots]
+            if np.any((owners != -1) & (owners != writers)):
+                raise LockstepBailout(f"cross-lane write-after-write hazard on {self.name!r}")
+        if self.reader_max is not None and np.any(self.reader_max[spots] > writers):
+            # A higher lane already read this cell: sequentially it would
+            # have observed this write, but in lockstep it read stale data.
+            raise LockstepBailout(f"cross-lane write-after-read hazard on {self.name!r}")
+        self.writer[spots] = writers
+        if self._group_tracked():
+            groups = self.lane_group[writers]
+            if self.group_writer is None:
+                self.group_writer = self._tracker(self.size)
+            else:
+                owners = self.group_writer[cells]
+                if np.any((owners != -1) & (owners != groups)):
+                    raise LockstepBailout(f"cross-group write-after-write hazard on {self.name!r}")
+            if self.group_reader_max is not None and np.any(self.group_reader_max[cells] > groups):
+                raise LockstepBailout(f"cross-group write-after-read hazard on {self.name!r}")
+            self.group_writer[cells] = groups
+            if self.group_family is not None:
+                self.group_family[cells] = 0
+        return spots
+
+    def _record_atomic(self, cells: np.ndarray, lanes: np.ndarray, family: int) -> np.ndarray:
+        """Check an atomic update against past accesses and poison its cells."""
+        spots = self._spots(cells, lanes)
+        if self.lane_offset is not None:
+            self._carry(cells, spots, lanes)
+            self._mark_written(cells, spots, lanes)
+        if not self.track_hazards:
+            return spots
+        poison = -2 - family
+        if self.writer is None:
+            self.writer = self._tracker(self.data.size)
+        else:
+            owners = self.writer[spots]
+            # A plain write by another lane, or an earlier atomic execution
+            # unless both are integer updates of one commutative family.
+            allowed = poison if family else -1
+            if np.any((owners != -1) & (owners != lanes) & (owners != allowed)):
+                raise LockstepBailout(f"atomic after a conflicting update on {self.name!r}")
+        if self.reader_max is not None and np.any(self.reader_max[spots] > lanes):
+            raise LockstepBailout(f"atomic after cross-lane read on {self.name!r}")
+        self.writer[spots] = poison
+        if self._group_tracked():
+            groups = self.lane_group[lanes]
+            if self.group_writer is None:
+                self.group_writer = self._tracker(self.size)
+            if self.group_family is None:
+                self.group_family = np.zeros(self.size, dtype=np.int64)
+            owners = self.group_writer[cells]
+            families = self.group_family[cells]
+            other = (owners != -1) & (owners != groups)
+            if np.any(other & ((families != family) | (family == 0))):
+                raise LockstepBailout(f"cross-group atomic after a conflicting update on {self.name!r}")
+            if self.group_reader_max is not None and np.any(self.group_reader_max[cells] > groups):
+                raise LockstepBailout(f"cross-group atomic after a read on {self.name!r}")
+            self.group_family[cells] = np.where((owners == -1) | (families == family), family, 0)
+            self.group_writer[cells] = np.maximum(owners, groups)
+        return spots
 
     def store(self, index_data, value_data, mask, n: int, lane_ids: np.ndarray) -> None:
         """Masked scatter with hazard tracking; *value_data* is a lane array
@@ -352,25 +560,13 @@ class LockstepBuffer:
             self.out_of_bounds += oob_count
         if self.size == 0:
             return
-        cells = np.clip(indices, 0, self.size - 1)
-        if self.track_hazards:
-            if self.writer is None:
-                self.writer = self._tracker()
-            owners = self.writer[cells]
-            if np.any((owners >= 0) & (owners != writers)):
-                raise LockstepBailout(f"cross-lane write-after-write hazard on {self.name!r}")
-            if self.reader_max is not None and np.any(self.reader_max[cells] > writers):
-                # A higher lane already read this cell: sequentially it would
-                # have observed this write, but in lockstep it read stale data.
-                raise LockstepBailout(f"cross-lane write-after-read hazard on {self.name!r}")
+        spots = self._record_write(np.clip(indices, 0, self.size - 1), writers)
         try:
-            self.data[cells] = values
+            self.data[spots] = values
         except OverflowError as error:
             # A uniform Python int beyond int64: the scalar engines store
             # arbitrary-precision values, so fall back to them.
             raise LockstepBailout(f"stored value exceeds int64 on {self.name!r}") from error
-        if self.track_hazards:
-            self.writer[cells] = writers
 
     # ------------------------------------------------------------------
 
@@ -391,9 +587,9 @@ class LockstepBuffer:
 
         ``np.ufunc.at`` applies duplicate indices sequentially in lane order
         — the exact order the scalar engines execute the per-item atomics —
-        so the final cell values are bit-identical for these operations.
-        Atomically-touched cells are poisoned with writer lane ``-2``: any
-        later plain access by a specific lane is order-dependent and bails.
+        so the final cell values of one atomic execution are bit-identical
+        for these operations.  Two executions on one cell follow the poison
+        and family rules of the class docstring.
         """
         kind, operand_data = operand
         count = n if mask is None else int(mask.sum())
@@ -411,15 +607,8 @@ class LockstepBuffer:
             self.out_of_bounds += 2 * oob_count
         if self.size == 0:
             return
-        cells = np.clip(indices, 0, self.size - 1)
-
-        if self.track_hazards:
-            if self.writer is not None:
-                owners = self.writer[cells]
-                if np.any((owners >= 0) & (owners != lanes)):
-                    raise LockstepBailout(f"atomic after plain write on {self.name!r}")
-            if self.reader_max is not None and np.any(self.reader_max[cells] > lanes):
-                raise LockstepBailout(f"atomic after cross-lane read on {self.name!r}")
+        family = 0 if self.is_float else _ATOMIC_FAMILIES.get(operation, 0)
+        spots = self._record_atomic(np.clip(indices, 0, self.size - 1), lanes, family)
 
         if operation in ("inc", "dec"):
             values = np.float64(1.0) if self.is_float else np.int64(1)
@@ -439,7 +628,7 @@ class LockstepBuffer:
                     raise LockstepBailout("atomic operand exceeds int64") from error
 
         if operation == "xchg":
-            self.data[cells] = np.asarray(values, dtype=self.data.dtype)
+            self.data[spots] = np.asarray(values, dtype=self.data.dtype)
         else:
             ufunc = self._ATOMIC_UFUNCS.get(operation)
             if ufunc is None:
@@ -459,11 +648,7 @@ class LockstepBuffer:
                     magnitude += float(np.abs(values).sum()) if np.ndim(values) else abs(float(values)) * lanes.size
                     if magnitude >= 2.0**62:
                         raise LockstepBailout("possible int64 overflow in atomic accumulation")
-            ufunc.at(self.data, cells, values)
-        if self.track_hazards:
-            if self.writer is None:
-                self.writer = self._tracker()
-            self.writer[cells] = -2
+            ufunc.at(self.data, spots, values)
 
     def commit(self) -> None:
         """Fold data and access counters back into the source buffer."""

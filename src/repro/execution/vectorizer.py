@@ -36,16 +36,30 @@ The only analyzer fact the tier consumes is ``eligible`` (see
 specialized instance skips the per-cell writer/reader bookkeeping on every
 buffer.  A generic instance is the same compile with the bookkeeping on.
 
-Kernels without barriers or ``__local`` memory run the entire NDRange as
-one lane vector.  Kernels **with** them run in *group-sequential* mode:
-work-groups execute one after another (exactly the scalar engines' group
-order) with the group's work-items as the lane vector, and a statement-level
-``barrier()`` becomes a hazard-epoch boundary — the scalar engines advance
-every work-item of the group to the barrier before any proceeds, so
-pre-barrier writes are committed state for post-barrier reads and the
-per-cell writer/reader trackers reset.  Barriers must be convergent (reached
-by every live lane of the group); divergent barrier masks bail out to the
-closure engine, whose generator scheduler handles them.
+A launch runs as an ordered list of **chunks**, each a contiguous run of
+whole work-groups executed as one lockstep pass that sees every earlier
+chunk's writes; the memory pool is written only after the last chunk
+succeeds.  A kernel without barriers or ``__local`` memory is one chunk of
+every group.  A *group kernel* (one with either) puts each maximal run of
+full work-groups in one chunk and each partial group in its own, and keeps
+one group per chunk when it declares a ``__local`` array.  A
+statement-level ``barrier()`` is a hazard-epoch boundary — the scalar
+engines advance every work-item of a group to the barrier before any
+proceeds, so pre-barrier writes are committed state for post-barrier reads
+and the per-lane writer/reader trackers reset.  Barriers must be convergent
+(reached by every live lane of the chunk); divergent barrier masks bail out.
+The scalar engines finish group g before group g + 1 starts, so in a chunk
+of several groups, order between groups must also hold across barriers:
+chunk-wide per-cell trackers bail when a group touches a cell another group
+wrote, or writes a cell a higher group read.  A ``__local`` pointer
+argument gets one slice per group, filled with the buffer's contents at
+the start of the chunk; a group's read of a cell it has not yet written is
+exact only when no earlier group of the chunk writes that cell, and at the
+end each cell takes the value of the last group that wrote it (see
+:class:`~repro.execution.memory.LockstepBuffer`).  A bailout inside a
+multi-group chunk reruns the launch, and every later launch of the
+instance, one group per chunk; only a bailout of that rerun falls back to
+the closure engine, whose generator scheduler handles divergent barriers.
 
 Private (per-item) arrays execute as ``(n_items, size)`` matrices.  Their
 access counters are deliberately *not* folded into the stats — the scalar
@@ -98,6 +112,11 @@ _INT_TYPE_KINDS = ("int", "uint", "long", "ulong", "short", "ushort", "char",
 
 class NotVectorizable(Exception):
     """The kernel uses a construct outside the lockstep-executable subset."""
+
+
+class _GroupChunkBailout(LockstepBailout):
+    """A bailout inside a chunk of several work-groups (rerun one group per
+    chunk before giving up on lockstep)."""
 
 
 class VectorizerStats:
@@ -250,7 +269,7 @@ class _Ctx:
     __slots__ = (
         "n", "lane_ids", "steps", "steps_flat", "extra_steps", "extra_ops",
         "max_steps", "stats", "env", "globals_env", "gids", "lids", "grpids",
-        "group_of", "groups_with_lanes", "n_groups", "global_size",
+        "group_of", "groups_with_lanes", "n_groups", "chunk_groups", "global_size",
         "local_size", "num_groups", "work_dim", "branch_sites",
         "return_stack", "break_stack", "cont_stack", "finished",
         "buffer_views", "group_locals",
@@ -273,6 +292,9 @@ class _Ctx:
         self.group_of = None
         self.groups_with_lanes = None
         self.n_groups = 0
+        #: Work-groups in this pass's chunk (the scalar engines count
+        #: barriers per group).
+        self.chunk_groups = 1
         self.global_size = ()
         self.local_size = ()
         self.num_groups = ()
@@ -455,9 +477,16 @@ class VectorizedKernel:
         #: payload, so later executions skip straight to the closure engine
         #: instead of re-running the doomed lockstep pass.
         self._disabled = False
-        #: Kernels with barriers or __local memory execute group-by-group
-        #: (set during compilation when either construct is seen).
+        #: Kernels with barriers or __local memory are *group kernels*: a
+        #: chunk of their launch holds whole work-groups (set during
+        #: compilation when either construct is seen).
         self._needs_groups = False
+        #: A declared ``__local`` array is one buffer per group, so such a
+        #: kernel keeps one group per chunk.
+        self._declares_local = False
+        #: Set after a bailout from a multi-group chunk: this launch reruns,
+        #: and later ones run, one group per chunk.
+        self._one_group_chunks = False
 
         #: (name, is_pointer) per kernel parameter, in order.
         self._param_plan = []
@@ -488,9 +517,9 @@ class VectorizedKernel:
         self._body_fn = self._compile_statement(self._kernel.body)
         if specialization is not None and self._needs_groups:
             # The race pass's hazard proof assumes one flat lane vector with
-            # no barrier epochs; the analyzer never marks group-sequential
-            # kernels eligible, so this is a defensive consistency check.
-            raise NotVectorizable("specialized tier does not run group-sequential kernels")
+            # no barrier epochs; the analyzer never marks group kernels
+            # eligible, so this is a defensive consistency check.
+            raise NotVectorizable("specialized tier does not run group kernels")
 
     @property
     def kernel(self) -> ast.FunctionDecl:
@@ -521,11 +550,44 @@ class VectorizedKernel:
         VECTORIZER_STATS.executions += 1
         try:
             with np.errstate(all="ignore"):
-                return self._execute(pool, scalar_args, ndrange)
+                try:
+                    return self._execute(pool, scalar_args, ndrange)
+                except _GroupChunkBailout:
+                    self._one_group_chunks = True
+                    return self._execute(pool, scalar_args, ndrange)
         except LockstepBailout:
             self._disabled = True
             VECTORIZER_STATS.bailouts += 1
             raise
+
+    def _chunks(self, group_of: np.ndarray, n_groups: int, group_size: int) -> list:
+        """The launch as ``[begin, end, groups]`` lane ranges in group order.
+
+        A flat kernel is one chunk.  A group kernel puts each maximal run of
+        full work-groups in one chunk and each partial group in a chunk of
+        its own: a partial group leaves cells of a shared ``__local`` tile
+        unwritten, and sequentially those cells keep the previous group's
+        values, which no multi-group pass reproduces.
+        """
+        if not self._needs_groups:
+            return [[0, int(group_of.size), n_groups]]
+        multi = not (self._one_group_chunks or self._declares_local)
+        bounds = np.searchsorted(group_of, np.arange(n_groups + 1)).tolist()
+        chunks: list = []
+        extendable = False
+        for group in range(n_groups):
+            begin, end = bounds[group], bounds[group + 1]
+            if begin == end:
+                extendable = False
+                continue
+            full = multi and end - begin == group_size
+            if full and extendable:
+                chunks[-1][1] = end
+                chunks[-1][2] += 1
+            else:
+                chunks.append([begin, end, 1])
+            extendable = full
+        return chunks
 
     def _execute(self, pool, scalar_args, ndrange) -> ExecutionResult:
         gids, lids, grpids, group_of, n_groups = _lane_layout(ndrange)
@@ -564,76 +626,61 @@ class VectorizedKernel:
 
         branch_sites: dict = {}
         total_steps = extra_steps
-        last_group_locals: dict = {}
+        group_locals: dict = {}
 
-        def prepare(ctx):
+        # Chunks run in group order, each one lockstep pass that sees every
+        # earlier chunk's writes; the pool is written only after the last.
+        for begin, end, groups in self._chunks(group_of, n_groups, ndrange.work_group_size):
+            count = end - begin
+            ctx = _Ctx(count, self._max_steps, stats)
             ctx.global_size = ndrange.global_size
             ctx.local_size = ndrange.effective_local_size
             ctx.num_groups = ndrange.num_groups
             ctx.work_dim = ndrange.work_dim
             ctx.n_groups = n_groups
+            ctx.chunk_groups = groups
             ctx.branch_sites = branch_sites
             ctx.globals_env = globals_env
             ctx.env = dict(base_env)
-
-        if not self._needs_groups:
-            # One lockstep pass over the whole NDRange.
-            ctx = _Ctx(n, self._max_steps, stats)
-            prepare(ctx)
-            ctx.gids, ctx.lids, ctx.grpids = gids, lids, grpids
-            ctx.group_of = group_of
-            ctx.groups_with_lanes = np.bincount(group_of, minlength=n_groups).astype(bool)
-            ctx.buffer_views = views
-            ctx.return_stack.append(_ReturnFrame(n))
-            if self._body_fn is not None:
-                self._body_fn(ctx, None)
-            ctx.check_budget()
-            total_steps += ctx.steps_flat * n + ctx.extra_ops
-            if ctx.steps is not None:
-                total_steps += int(ctx.steps.sum())
-        else:
-            # Group-sequential mode: work-groups run one after another (the
-            # scalar engines' order), so barrier epochs and __local reuse
-            # across groups behave exactly like the generator scheduler.
-            boundaries = np.searchsorted(group_of, np.arange(n_groups + 1))
-            group_index_row = np.arange(n_groups)
-            for group in range(n_groups):
-                begin, end = int(boundaries[group]), int(boundaries[group + 1])
-                count = end - begin
-                if count == 0:
-                    continue
-                ctx = _Ctx(count, self._max_steps, stats)
-                prepare(ctx)
-                ctx.gids = [column[begin:end] for column in gids]
-                ctx.lids = [column[begin:end] for column in lids]
-                ctx.grpids = [column[begin:end] for column in grpids]
-                ctx.group_of = group_of[begin:end]
-                ctx.groups_with_lanes = group_index_row == group
-                # Prior groups' writes are committed state for this group.
-                for view in views:
-                    view.writer = None
-                    view.reader_max = None
-                ctx.buffer_views = list(views)
-                ctx.return_stack.append(_ReturnFrame(count))
+            ctx.gids = [column[begin:end] for column in gids]
+            ctx.lids = [column[begin:end] for column in lids]
+            ctx.grpids = [column[begin:end] for column in grpids]
+            ctx.group_of = group_of[begin:end]
+            ctx.groups_with_lanes = np.bincount(ctx.group_of, minlength=n_groups).astype(bool)
+            multi_group = self._needs_groups and groups > 1
+            lane_group = ctx.group_of - ctx.group_of[0] if multi_group else None
+            for view in views:
+                view.begin_chunk(lane_group, groups)
+            ctx.buffer_views = list(views)
+            ctx.return_stack.append(_ReturnFrame(count))
+            try:
                 if self._body_fn is not None:
                     self._body_fn(ctx, None)
                 ctx.check_budget()
-                total_steps += ctx.steps_flat * count + ctx.extra_ops
-                if ctx.steps is not None:
-                    total_steps += int(ctx.steps.sum())
-                last_group_locals = ctx.group_locals
+                for view in views:
+                    view.end_chunk()
+            except LockstepBailout as bailout:
+                if multi_group:
+                    raise _GroupChunkBailout(str(bailout)) from bailout
+                raise
+            total_steps += ctx.steps_flat * count + ctx.extra_ops
+            if ctx.steps is not None:
+                total_steps += int(ctx.steps.sum())
+            group_locals = ctx.group_locals
 
         # Success: commit ndarray views and counters back into the pool
         # (every pool buffer has a view, so commit() replaces all stats).
+        # Declared __local arrays are counted for the last group only, as
+        # in the scalar engines.
         for view in views:
             view.commit()
-        group_locals: dict = {}
-        for name, (buffer, view) in last_group_locals.items():
+        for buffer, view in group_locals.values():
             view.commit()
-            group_locals[name] = buffer
 
         stats.dynamic_operations = total_steps
-        collect_memory_stats(stats, pool, group_locals)
+        collect_memory_stats(
+            stats, pool, {name: buffer for name, (buffer, _) in group_locals.items()}
+        )
         stats.branch_sites = sum(
             int((seen_true | seen_false).sum())
             for seen_true, seen_false in branch_sites.values()
@@ -792,6 +839,7 @@ class VectorizedKernel:
         binds the shared buffer into its environment.
         """
         self._needs_groups = True
+        self._declares_local = True
         kind, width = element_kind_of(declarator)
         if width > 1:
             raise NotVectorizable("vector-element __local array")
@@ -859,17 +907,21 @@ class VectorizedKernel:
             def run_barrier(ctx, mask):
                 ctx.bump(mask)
                 ctx.extra_ops += mask_count(mask, ctx.n)
-                # Every live lane of the group must reach this barrier: the
+                # Every live lane of the chunk must reach this barrier: the
                 # generator scheduler can pair lanes waiting at *different*
                 # barriers, which one lockstep pass cannot reproduce.
                 live = mask_minus(None, mask_or(ctx.return_stack[0].mask, ctx.finished))
                 if mask_minus(live, mask) is not False:
                     raise LockstepBailout("divergent work-group barrier")
-                ctx.stats.barriers_hit += 1
+                # The scalar engines count a barrier once per group that
+                # reaches it.
+                groups = ctx.chunk_groups
+                if mask is not None and groups > 1:
+                    groups = int(np.unique(ctx.group_of[mask]).size)
+                ctx.stats.barriers_hit += groups
                 # Pre-barrier writes are committed: reset the hazard epochs.
                 for view in ctx.buffer_views:
-                    view.writer = None
-                    view.reader_max = None
+                    view.new_epoch()
                 return mask
 
             return run_barrier

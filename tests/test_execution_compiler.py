@@ -69,10 +69,23 @@ def _assert_same(reference, candidate, label: str) -> None:
 
 
 class TestDifferentialSuites:
-    """Every suite kernel, executed by all three engines, must agree exactly."""
+    """Every suite kernel, executed by all three engines, must agree exactly.
+
+    Two launch shapes: global 32 / local 8, and the ``pipeline`` workload's
+    global 128 / local 32, where 1-D kernels run four work-groups and 2-D
+    kernels 11×11 items in 8×8 groups, three of them partial.
+    """
 
     @pytest.mark.parametrize("suite_benchmark", _suite_benchmarks())
     def test_identical_buffers_and_stats(self, suite_benchmark):
+        self._check(suite_benchmark, global_size=32, local_size=8)
+
+    @pytest.mark.parametrize("suite_benchmark", _suite_benchmarks())
+    def test_identical_buffers_and_stats_at_128_32(self, suite_benchmark):
+        self._check(suite_benchmark, global_size=128, local_size=32)
+
+    @staticmethod
+    def _check(suite_benchmark, global_size: int, local_size: int) -> None:
         unit = _compile_unit(suite_benchmark.source)
         kernel = (
             unit.kernel(suite_benchmark.kernel_name)
@@ -80,7 +93,9 @@ class TestDifferentialSuites:
             else unit.kernels[0]
         )
         work_dim = HostDriver._kernel_work_dim(kernel)
-        generator = PayloadGenerator(PayloadConfig(global_size=32, local_size=8, seed=3))
+        generator = PayloadGenerator(
+            PayloadConfig(global_size=global_size, local_size=local_size, seed=3)
+        )
         payload = generator.generate(kernel, work_dim=work_dim)
         payload_interpreted = payload.clone()
         payload_lockstep = payload.clone()

@@ -3,8 +3,9 @@
 The three-way differential suite (test_execution_compiler.py) asserts
 bit-identity over the benchmark inventory; these tests pin down the tier's
 *mechanisms*: engine selection and caching, bailout purity (the memory pool
-must be untouched), cross-lane hazard detection, barrier epochs in
-group-sequential mode and order-independent atomics.
+must be untouched), cross-lane hazard detection, chunks of whole
+work-groups (barrier epochs, order between groups, ``__local`` slices) and
+order-independent atomics.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import dataclasses
 
 import pytest
 
-from repro.clc import parse
+from repro.clc import compile_source, parse
+from repro.driver.harness import HostDriver
+from repro.driver.payload import PayloadConfig, PayloadGenerator
 from repro.errors import LockstepBailout
 from repro.execution import (
     GLOBAL_COMPILATION_CACHE,
@@ -25,29 +28,54 @@ from repro.execution import (
     try_vectorize,
     vectorized_kernel_for,
 )
+from repro.execution.vectorizer import VECTORIZER_STATS
+from repro.preprocess.shim import shim_include_resolver, with_shim
+from repro.suites.registry import all_suites
 
 
 def _pool(**buffers):
+    """Buffers given as ``(size, values, space)``, optionally with a fourth
+    element kind (default ``float``)."""
     pool = MemoryPool()
-    for name, (size, values, space) in buffers.items():
-        buffer = pool.allocate(name, size, address_space=space)
+    for name, (size, values, space, *kind) in buffers.items():
+        buffer = pool.allocate(name, size, *kind, address_space=space)
         if values is not None:
             buffer.copy_from(values)
     return pool
 
 
+def _outputs(pool, result):
+    return ({name: b.to_list() for name, b in pool.buffers.items()},
+            dataclasses.asdict(result.stats))
+
+
 def _run_all_engines(source, buffers, scalars, ndrange):
-    """Execute on interpreter, closure and lockstep tiers; return outputs."""
+    """Execute on the interpreter, the closure engine, the generic lockstep
+    tier and the router; return their outputs."""
     outputs = []
-    for engine in ("interpreter", "compiled", "vectorized"):
+    for engine in ("interpreter", "compiled", "vectorized", "auto"):
         unit = parse(source)
         pool = _pool(**buffers)
         result = run_kernel(unit, pool, dict(scalars), ndrange, engine=engine)
-        outputs.append(
-            ({name: b.to_list() for name, b in pool.buffers.items()},
-             dataclasses.asdict(result.stats))
-        )
+        outputs.append(_outputs(pool, result))
     return outputs
+
+
+def _lockstep_and_interpreter(source, buffers, scalars, ndrange):
+    """One fresh lockstep instance and the interpreter on equal pools.
+
+    Returns the instance (to inspect its chunking) and both outputs; the
+    lockstep run must complete without a bailout being counted.
+    """
+    vectorized = try_vectorize(parse(source))
+    assert vectorized is not None
+    pool = _pool(**buffers)
+    bailouts = VECTORIZER_STATS.bailouts
+    lockstep = _outputs(pool, vectorized.execute(pool, dict(scalars), ndrange))
+    assert VECTORIZER_STATS.bailouts == bailouts
+    pool = _pool(**buffers)
+    result = KernelInterpreter(parse(source)).execute(pool, dict(scalars), ndrange)
+    return vectorized, lockstep, _outputs(pool, result)
 
 
 def _assert_all_equal(outputs):
@@ -178,7 +206,10 @@ class TestBailouts:
         _assert_all_equal(outputs)
 
 
-class TestGroupSequentialMode:
+class TestGroupChunks:
+    """Kernels with barriers or ``__local`` memory run as chunks of whole
+    work-groups, each chunk one lockstep pass."""
+
     def test_barrier_reduction_matches_scalars(self):
         source = (
             "__kernel void R(__global float* in, __global float* out, __local float* tmp,\n"
@@ -218,6 +249,99 @@ class TestGroupSequentialMode:
             source, {"out": (32, None, "global")}, {"n": 32}, NDRange.linear(32, 16)
         )
         _assert_all_equal(outputs)
+
+    def test_cross_group_global_read_after_barrier_reruns_one_group_per_chunk(self):
+        # Group g reads the cell group g + 1 writes before the barrier.
+        # Sequentially group g runs first and sees the old value; a
+        # multi-group pass would see the new one, so the chunk-wide
+        # trackers bail and the launch reruns one group per chunk.
+        source = (
+            "__kernel void G(__global int* a, __global int* b, __local int* tmp) {\n"
+            "  int lid = get_local_id(0); int grp = get_group_id(0);\n"
+            "  tmp[lid] = lid;\n"
+            "  if (lid == 0) { a[grp] = grp + 1; }\n"
+            "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+            "  if (lid == 0) { b[grp] = a[(grp + 1) % get_num_groups(0)] + tmp[1]; }\n}"
+        )
+        buffers = {"a": (4, [0] * 4, "global", "int"), "b": (4, None, "global", "int"),
+                   "tmp": (8, None, "local", "int")}
+        vectorized, lockstep, reference = _lockstep_and_interpreter(
+            source, buffers, {}, NDRange.linear(32, 8)
+        )
+        assert vectorized._one_group_chunks
+        assert lockstep == reference
+        assert reference[0]["b"] == [1, 1, 1, 2]
+        _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(32, 8)))
+
+    def test_carried_local_read_is_checked_at_chunk_end(self):
+        # Every group first reads __local cells it has not written; group 0
+        # writes them only after the barrier, so sequentially groups 1-3
+        # read group 0's values.  No read sees an earlier group's write yet,
+        # so only the end-of-chunk check catches it.
+        source = (
+            "__kernel void C(__global int* out, __local int* tmp) {\n"
+            "  int lid = get_local_id(0); int gid = get_global_id(0);\n"
+            "  out[gid] = tmp[lid];\n"
+            "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+            "  if (get_group_id(0) == 0) { tmp[lid] = gid + 100; }\n}"
+        )
+        buffers = {"out": (32, None, "global", "int"),
+                   "tmp": (8, list(range(8)), "local", "int")}
+        vectorized, lockstep, reference = _lockstep_and_interpreter(
+            source, buffers, {}, NDRange.linear(32, 8)
+        )
+        assert vectorized._one_group_chunks
+        assert lockstep == reference
+        assert reference[0]["out"] == list(range(8)) + list(range(100, 108)) * 3
+        _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(32, 8)))
+
+    def test_groups_returning_before_a_barrier_count_no_barrier(self):
+        source = (
+            "__kernel void R(__global float* in, __global float* out, __local float* tmp) {\n"
+            "  int lid = get_local_id(0); int gid = get_global_id(0);\n"
+            "  if (get_group_id(0) % 2 == 1) { return; }\n"
+            "  tmp[lid] = in[gid];\n"
+            "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+            "  out[gid] = tmp[(lid + 1) % get_local_size(0)];\n}"
+        )
+        buffers = {"in": (32, [float(i) for i in range(32)], "global"),
+                   "out": (32, None, "global"), "tmp": (8, None, "local")}
+        vectorized, lockstep, reference = _lockstep_and_interpreter(
+            source, buffers, {}, NDRange.linear(32, 8)
+        )
+        assert not vectorized._one_group_chunks
+        assert lockstep == reference
+        assert reference[1]["barriers_hit"] == 2
+        _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(32, 8)))
+
+    def test_suite_group_kernels_need_no_one_group_rerun(self):
+        # Coverage floor: at the pipeline (128/32) and measure-wide
+        # (2048/32) launch shapes every suite group kernel completes in
+        # multi-group chunks, so a change cannot quietly fall back to
+        # per-group passes.
+        group_kernels = 0
+        for suite in all_suites():
+            for benchmark in suite.benchmarks:
+                unit = compile_source(
+                    with_shim(benchmark.source), include_resolver=shim_include_resolver,
+                    strict=False,
+                ).unit
+                kernel = (unit.kernel(benchmark.kernel_name) if benchmark.kernel_name
+                          else unit.kernels[0])
+                vectorized = try_vectorize(unit, kernel.name)
+                if vectorized is None or not vectorized._needs_groups:
+                    continue
+                group_kernels += 1
+                work_dim = HostDriver._kernel_work_dim(kernel)
+                for global_size in (128, 2048):
+                    payload = PayloadGenerator(
+                        PayloadConfig(global_size=global_size, local_size=32, seed=0)
+                    ).generate(kernel, work_dim=work_dim)
+                    vectorized.execute(payload.pool, payload.scalar_args, payload.ndrange)
+                    assert not vectorized._one_group_chunks, (
+                        benchmark.qualified_name, global_size
+                    )
+        assert group_kernels == 20
 
 
 class TestAtomics:
@@ -266,3 +390,62 @@ class TestAtomics:
             NDRange.linear(8, 8),
         )
         _assert_all_equal(outputs)
+
+    def test_atomic_then_plain_read_of_the_cell_falls_back(self):
+        # Sequentially item i reads the counter after i + 1 increments; a
+        # lockstep read would see all eight.
+        source = (
+            "__kernel void A(__global int* a, __global int* out) {\n"
+            "  int gid = get_global_id(0);\n"
+            "  atomic_add(&a[0], 1);\n"
+            "  out[gid] = a[0];\n}"
+        )
+        outputs = _run_all_engines(
+            source, {"a": (1, [0], "global", "int"), "out": (8, None, "global", "int")},
+            {}, NDRange.linear(8, 4),
+        )
+        _assert_all_equal(outputs)
+        assert outputs[0][0]["out"] == list(range(1, 9))
+
+    def test_xchg_then_add_on_one_cell_falls_back(self):
+        # Item by item each xchg resets the cell before its own add.
+        source = (
+            "__kernel void X(__global int* a) {\n"
+            "  int gid = get_global_id(0);\n"
+            "  atomic_xchg(&a[0], gid);\n"
+            "  atomic_add(&a[0], 1);\n}"
+        )
+        outputs = _run_all_engines(
+            source, {"a": (1, [0], "global", "int")}, {}, NDRange.linear(64, 64)
+        )
+        _assert_all_equal(outputs)
+        assert outputs[0][0]["a"] == [64]
+
+    def test_repeated_float_atomic_add_falls_back(self):
+        # Float addition does not reassociate: the scalar engines add each
+        # item's three operands before the next item's.
+        source = (
+            "__kernel void F(__global float* a) {\n"
+            "  int gid = get_global_id(0);\n"
+            "  for (int k = 0; k < 3; k++) {\n"
+            "    atomic_add(&a[0], 0.1f * (gid + 1) + 1.0e7f * k);\n"
+            "  }\n}"
+        )
+        outputs = _run_all_engines(
+            source, {"a": (1, [0.0], "global")}, {}, NDRange.linear(64, 64)
+        )
+        _assert_all_equal(outputs)
+
+    def test_repeated_integer_atomics_of_one_family_stay_in_lockstep(self):
+        source = (
+            "__kernel void I(__global int* bins) {\n"
+            "  int gid = get_global_id(0);\n"
+            "  for (int k = 0; k < 3; k++) { atomic_add(&bins[gid % 4], k + 1); }\n"
+            "  atomic_sub(&bins[gid % 4], 1);\n}"
+        )
+        buffers = {"bins": (4, [0] * 4, "global", "int")}
+        _, lockstep, reference = _lockstep_and_interpreter(
+            source, buffers, {}, NDRange.linear(32, 8)
+        )
+        assert lockstep == reference
+        assert reference[0]["bins"] == [40] * 4
