@@ -234,26 +234,22 @@ class LockstepBuffer:
     chunk-wide trackers: ``group_writer`` (the highest group that wrote the
     cell) and ``group_reader_max`` (the highest group that read it).  A
     group that reads or writes a cell another group wrote, or writes a cell
-    a higher group read, bails out; atomics across groups follow the family
-    rule above (``group_family`` is the family of every write to the cell,
-    0 once a plain store or a family-0 atomic wrote it).
+    a higher group read, bails out; an atomic counts as a write here.
 
     A ``__local`` buffer is instead split into one *slice* per group, each
     filled with the buffer's contents at the start of the chunk; lane ``L``
     sees its group's slice at ``lane_offset[L]``.  Sequentially, group g
-    starts from group g - 1's final contents, so a group's read (or atomic)
-    of a cell it has not yet written is exact only when no earlier group of
-    the chunk writes that cell.  That is checked at the read and again by
-    :meth:`end_chunk`, which then gives every cell the value of the last
-    group that wrote it.  Access counts are the slices' sum.
+    starts from group g - 1's final contents, which its slice does not
+    hold, so a read (or atomic) of a cell its group has not written in the
+    chunk bails out.  :meth:`end_chunk` gives every cell the value of the
+    last group that wrote it.  Access counts are the slices' sum.
     """
 
     __slots__ = (
         "source", "name", "size", "element_kind", "is_float", "address_space",
         "data", "writer", "reader_max", "reads", "writes", "out_of_bounds",
         "track_hazards", "lane_group", "group_writer", "group_reader_max",
-        "group_family", "lane_offset", "chunk_start", "written", "first_writer",
-        "carried_max",
+        "lane_offset", "chunk_start", "written",
     )
 
     def __init__(self, source: Buffer, *, track_hazards: bool = True):
@@ -287,9 +283,9 @@ class LockstepBuffer:
         self.out_of_bounds = 0
         # Multi-group chunk state (see the class docstring); None outside one.
         self.lane_group: np.ndarray | None = None
-        self.group_writer = self.group_reader_max = self.group_family = None
+        self.group_writer = self.group_reader_max = None
         self.lane_offset: np.ndarray | None = None
-        self.chunk_start = self.written = self.first_writer = self.carried_max = None
+        self.chunk_start = self.written = None
 
     @staticmethod
     def _tracker(size: int) -> np.ndarray:
@@ -317,16 +313,10 @@ class LockstepBuffer:
             self.data = np.tile(self.data, groups)
             self.lane_offset = lane_group * self.size
             self.written = np.zeros(self.data.size, dtype=bool)
-            self.first_writer = np.full(self.size, groups, dtype=np.int64)
-            self.carried_max = self._tracker(self.size)
 
     def end_chunk(self) -> None:
-        """Finish a multi-group chunk: check carried reads, merge slices."""
+        """Finish a multi-group chunk: merge the ``__local`` slices."""
         if self.lane_offset is not None:
-            if np.any(self.first_writer < self.carried_max):
-                raise LockstepBailout(
-                    f"__local read carried past an earlier group's write on {self.name!r}"
-                )
             if self.size:
                 groups = self.data.size // self.size
                 written = self.written.reshape(groups, self.size)
@@ -334,9 +324,8 @@ class LockstepBuffer:
                 last = groups - 1 - np.argmax(written[::-1, cells], axis=0)
                 self.chunk_start[cells] = self.data.reshape(groups, self.size)[last, cells]
             self.data = self.chunk_start
-        self.lane_group = self.group_writer = self.group_reader_max = self.group_family = None
+        self.lane_group = self.group_writer = self.group_reader_max = None
         self.lane_offset = self.chunk_start = self.written = None
-        self.first_writer = self.carried_max = None
 
     # ------------------------------------------------------------------
 
@@ -422,31 +411,31 @@ class LockstepBuffer:
     def _group_tracked(self) -> bool:
         return self.lane_group is not None and self.lane_offset is None
 
-    def _carry(self, cells: np.ndarray, spots: np.ndarray, lanes: np.ndarray) -> None:
-        """Note reads of slice cells the lane's group has not yet written."""
-        fresh = ~self.written[spots]
-        if not fresh.any():
-            return
-        cells = cells[fresh]
-        groups = self.lane_group[lanes[fresh]]
-        if np.any(self.first_writer[cells] < groups):
+    def _check_slice_read(self, spots: np.ndarray) -> None:
+        """Bail unless each lane's group wrote the slice cell it reads."""
+        if not self.written[spots].all():
             raise LockstepBailout(
-                f"__local read carried past an earlier group's write on {self.name!r}"
+                f"__local read of a cell its group has not written on {self.name!r}"
             )
-        # Groups ascend with lanes, so last-write-wins keeps the maximum.
-        self.carried_max[cells] = np.maximum(self.carried_max[cells], groups)
 
-    def _mark_written(self, cells: np.ndarray, spots: np.ndarray, lanes: np.ndarray) -> None:
-        self.written[spots] = True
-        lowest = np.minimum(self.first_writer[cells], self.lane_group[lanes])
-        # Assigning in reverse lane order keeps each cell's lowest group.
-        self.first_writer[cells[::-1]] = lowest[::-1]
+    def _record_group_write(self, cells: np.ndarray, lanes: np.ndarray) -> None:
+        """Check a write against the other groups of the chunk."""
+        groups = self.lane_group[lanes]
+        if self.group_writer is None:
+            self.group_writer = self._tracker(self.size)
+        else:
+            owners = self.group_writer[cells]
+            if np.any((owners != -1) & (owners != groups)):
+                raise LockstepBailout(f"cross-group write-after-write hazard on {self.name!r}")
+        if self.group_reader_max is not None and np.any(self.group_reader_max[cells] > groups):
+            raise LockstepBailout(f"cross-group write-after-read hazard on {self.name!r}")
+        self.group_writer[cells] = groups
 
     def _record_read(self, cells: np.ndarray, readers: np.ndarray) -> np.ndarray:
         """Check the read against past writers and remember the reader."""
         spots = self._spots(cells, readers)
         if self.lane_offset is not None:
-            self._carry(cells, spots, readers)
+            self._check_slice_read(spots)
         if not self.track_hazards:
             return spots
         if self.writer is not None:
@@ -473,7 +462,7 @@ class LockstepBuffer:
         """Check a plain write against past accesses and remember the writer."""
         spots = self._spots(cells, writers)
         if self.lane_offset is not None:
-            self._mark_written(cells, spots, writers)
+            self.written[spots] = True
         if not self.track_hazards:
             return spots
         if self.writer is None:
@@ -488,26 +477,15 @@ class LockstepBuffer:
             raise LockstepBailout(f"cross-lane write-after-read hazard on {self.name!r}")
         self.writer[spots] = writers
         if self._group_tracked():
-            groups = self.lane_group[writers]
-            if self.group_writer is None:
-                self.group_writer = self._tracker(self.size)
-            else:
-                owners = self.group_writer[cells]
-                if np.any((owners != -1) & (owners != groups)):
-                    raise LockstepBailout(f"cross-group write-after-write hazard on {self.name!r}")
-            if self.group_reader_max is not None and np.any(self.group_reader_max[cells] > groups):
-                raise LockstepBailout(f"cross-group write-after-read hazard on {self.name!r}")
-            self.group_writer[cells] = groups
-            if self.group_family is not None:
-                self.group_family[cells] = 0
+            self._record_group_write(cells, writers)
         return spots
 
     def _record_atomic(self, cells: np.ndarray, lanes: np.ndarray, family: int) -> np.ndarray:
         """Check an atomic update against past accesses and poison its cells."""
         spots = self._spots(cells, lanes)
         if self.lane_offset is not None:
-            self._carry(cells, spots, lanes)
-            self._mark_written(cells, spots, lanes)
+            # The atomic reads the cell, so its group must have written it.
+            self._check_slice_read(spots)
         if not self.track_hazards:
             return spots
         poison = -2 - family
@@ -524,20 +502,7 @@ class LockstepBuffer:
             raise LockstepBailout(f"atomic after cross-lane read on {self.name!r}")
         self.writer[spots] = poison
         if self._group_tracked():
-            groups = self.lane_group[lanes]
-            if self.group_writer is None:
-                self.group_writer = self._tracker(self.size)
-            if self.group_family is None:
-                self.group_family = np.zeros(self.size, dtype=np.int64)
-            owners = self.group_writer[cells]
-            families = self.group_family[cells]
-            other = (owners != -1) & (owners != groups)
-            if np.any(other & ((families != family) | (family == 0))):
-                raise LockstepBailout(f"cross-group atomic after a conflicting update on {self.name!r}")
-            if self.group_reader_max is not None and np.any(self.group_reader_max[cells] > groups):
-                raise LockstepBailout(f"cross-group atomic after a read on {self.name!r}")
-            self.group_family[cells] = np.where((owners == -1) | (families == family), family, 0)
-            self.group_writer[cells] = np.maximum(owners, groups)
+            self._record_group_write(cells, lanes)
         return spots
 
     def store(self, index_data, value_data, mask, n: int, lane_ids: np.ndarray) -> None:

@@ -53,13 +53,11 @@ of several groups, order between groups must also hold across barriers:
 chunk-wide per-cell trackers bail when a group touches a cell another group
 wrote, or writes a cell a higher group read.  A ``__local`` pointer
 argument gets one slice per group, filled with the buffer's contents at
-the start of the chunk; a group's read of a cell it has not yet written is
-exact only when no earlier group of the chunk writes that cell, and at the
-end each cell takes the value of the last group that wrote it (see
-:class:`~repro.execution.memory.LockstepBuffer`).  A bailout inside a
-multi-group chunk reruns the launch, and every later launch of the
-instance, one group per chunk; only a bailout of that rerun falls back to
-the closure engine, whose generator scheduler handles divergent barriers.
+the start of the chunk; a group may read only cells it has written in the
+chunk, and at the end each cell takes the value of the last group that
+wrote it (see :class:`~repro.execution.memory.LockstepBuffer`).  A bailout
+in any chunk falls back to the closure engine, whose generator scheduler
+handles divergent barriers.
 
 Private (per-item) arrays execute as ``(n_items, size)`` matrices.  Their
 access counters are deliberately *not* folded into the stats — the scalar
@@ -112,11 +110,6 @@ _INT_TYPE_KINDS = ("int", "uint", "long", "ulong", "short", "ushort", "char",
 
 class NotVectorizable(Exception):
     """The kernel uses a construct outside the lockstep-executable subset."""
-
-
-class _GroupChunkBailout(LockstepBailout):
-    """A bailout inside a chunk of several work-groups (rerun one group per
-    chunk before giving up on lockstep)."""
 
 
 class VectorizerStats:
@@ -484,9 +477,6 @@ class VectorizedKernel:
         #: A declared ``__local`` array is one buffer per group, so such a
         #: kernel keeps one group per chunk.
         self._declares_local = False
-        #: Set after a bailout from a multi-group chunk: this launch reruns,
-        #: and later ones run, one group per chunk.
-        self._one_group_chunks = False
 
         #: (name, is_pointer) per kernel parameter, in order.
         self._param_plan = []
@@ -550,11 +540,7 @@ class VectorizedKernel:
         VECTORIZER_STATS.executions += 1
         try:
             with np.errstate(all="ignore"):
-                try:
-                    return self._execute(pool, scalar_args, ndrange)
-                except _GroupChunkBailout:
-                    self._one_group_chunks = True
-                    return self._execute(pool, scalar_args, ndrange)
+                return self._execute(pool, scalar_args, ndrange)
         except LockstepBailout:
             self._disabled = True
             VECTORIZER_STATS.bailouts += 1
@@ -571,7 +557,7 @@ class VectorizedKernel:
         """
         if not self._needs_groups:
             return [[0, int(group_of.size), n_groups]]
-        multi = not (self._one_group_chunks or self._declares_local)
+        multi = not self._declares_local
         bounds = np.searchsorted(group_of, np.arange(n_groups + 1)).tolist()
         chunks: list = []
         extendable = False
@@ -653,16 +639,11 @@ class VectorizedKernel:
                 view.begin_chunk(lane_group, groups)
             ctx.buffer_views = list(views)
             ctx.return_stack.append(_ReturnFrame(count))
-            try:
-                if self._body_fn is not None:
-                    self._body_fn(ctx, None)
-                ctx.check_budget()
-                for view in views:
-                    view.end_chunk()
-            except LockstepBailout as bailout:
-                if multi_group:
-                    raise _GroupChunkBailout(str(bailout)) from bailout
-                raise
+            if self._body_fn is not None:
+                self._body_fn(ctx, None)
+            ctx.check_budget()
+            for view in views:
+                view.end_chunk()
             total_steps += ctx.steps_flat * count + ctx.extra_ops
             if ctx.steps is not None:
                 total_steps += int(ctx.steps.sum())

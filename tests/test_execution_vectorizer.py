@@ -28,7 +28,6 @@ from repro.execution import (
     try_vectorize,
     vectorized_kernel_for,
 )
-from repro.execution.vectorizer import VECTORIZER_STATS
 from repro.preprocess.shim import shim_include_resolver, with_shim
 from repro.suites.registry import all_suites
 
@@ -62,20 +61,26 @@ def _run_all_engines(source, buffers, scalars, ndrange):
 
 
 def _lockstep_and_interpreter(source, buffers, scalars, ndrange):
-    """One fresh lockstep instance and the interpreter on equal pools.
-
-    Returns the instance (to inspect its chunking) and both outputs; the
-    lockstep run must complete without a bailout being counted.
-    """
+    """Outputs of a fresh lockstep instance, which must not bail out, and
+    of the interpreter on equal pools."""
     vectorized = try_vectorize(parse(source))
     assert vectorized is not None
     pool = _pool(**buffers)
-    bailouts = VECTORIZER_STATS.bailouts
     lockstep = _outputs(pool, vectorized.execute(pool, dict(scalars), ndrange))
-    assert VECTORIZER_STATS.bailouts == bailouts
     pool = _pool(**buffers)
     result = KernelInterpreter(parse(source)).execute(pool, dict(scalars), ndrange)
-    return vectorized, lockstep, _outputs(pool, result)
+    return lockstep, _outputs(pool, result)
+
+
+def _assert_lockstep_bails(source, buffers, scalars, ndrange, match):
+    """A fresh lockstep instance bails out and leaves its pool untouched."""
+    vectorized = try_vectorize(parse(source))
+    assert vectorized is not None
+    pool = _pool(**buffers)
+    before = {name: b.to_list() for name, b in pool.buffers.items()}
+    with pytest.raises(LockstepBailout, match=match):
+        vectorized.execute(pool, dict(scalars), ndrange)
+    assert {name: b.to_list() for name, b in pool.buffers.items()} == before
 
 
 def _assert_all_equal(outputs):
@@ -250,11 +255,11 @@ class TestGroupChunks:
         )
         _assert_all_equal(outputs)
 
-    def test_cross_group_global_read_after_barrier_reruns_one_group_per_chunk(self):
+    def test_cross_group_global_read_after_barrier_falls_back(self):
         # Group g reads the cell group g + 1 writes before the barrier.
         # Sequentially group g runs first and sees the old value; a
         # multi-group pass would see the new one, so the chunk-wide
-        # trackers bail and the launch reruns one group per chunk.
+        # trackers bail and the router falls back to the closure engine.
         source = (
             "__kernel void G(__global int* a, __global int* b, __local int* tmp) {\n"
             "  int lid = get_local_id(0); int grp = get_group_id(0);\n"
@@ -265,19 +270,33 @@ class TestGroupChunks:
         )
         buffers = {"a": (4, [0] * 4, "global", "int"), "b": (4, None, "global", "int"),
                    "tmp": (8, None, "local", "int")}
-        vectorized, lockstep, reference = _lockstep_and_interpreter(
-            source, buffers, {}, NDRange.linear(32, 8)
-        )
-        assert vectorized._one_group_chunks
-        assert lockstep == reference
-        assert reference[0]["b"] == [1, 1, 1, 2]
-        _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(32, 8)))
+        _assert_lockstep_bails(source, buffers, {}, NDRange.linear(32, 8), "cross-group")
+        outputs = _run_all_engines(source, buffers, {}, NDRange.linear(32, 8))
+        _assert_all_equal(outputs)
+        assert outputs[0][0]["b"] == [1, 1, 1, 2]
 
-    def test_carried_local_read_is_checked_at_chunk_end(self):
+    def test_cross_group_read_of_an_atomic_counter_after_barrier_falls_back(self):
+        # Sequentially group g reads the counter after g + 1 increments; a
+        # multi-group pass has applied all four before any group reads.
+        source = (
+            "__kernel void H(__global int* count, __global int* out, __local int* tmp) {\n"
+            "  int lid = get_local_id(0);\n"
+            "  tmp[lid] = lid;\n"
+            "  if (lid == 0) { atomic_add(&count[0], 1); }\n"
+            "  barrier(CLK_GLOBAL_MEM_FENCE);\n"
+            "  if (lid == 0) { out[get_group_id(0)] = count[0] + tmp[1]; }\n}"
+        )
+        buffers = {"count": (1, [0], "global", "int"), "out": (4, None, "global", "int"),
+                   "tmp": (8, None, "local", "int")}
+        _assert_lockstep_bails(source, buffers, {}, NDRange.linear(32, 8), "cross-group")
+        outputs = _run_all_engines(source, buffers, {}, NDRange.linear(32, 8))
+        _assert_all_equal(outputs)
+        assert outputs[0][0]["out"] == [2, 3, 4, 5]
+
+    def test_local_read_of_a_cell_the_group_has_not_written_falls_back(self):
         # Every group first reads __local cells it has not written; group 0
         # writes them only after the barrier, so sequentially groups 1-3
-        # read group 0's values.  No read sees an earlier group's write yet,
-        # so only the end-of-chunk check catches it.
+        # read group 0's values, which their slices do not hold.
         source = (
             "__kernel void C(__global int* out, __local int* tmp) {\n"
             "  int lid = get_local_id(0); int gid = get_global_id(0);\n"
@@ -287,13 +306,12 @@ class TestGroupChunks:
         )
         buffers = {"out": (32, None, "global", "int"),
                    "tmp": (8, list(range(8)), "local", "int")}
-        vectorized, lockstep, reference = _lockstep_and_interpreter(
-            source, buffers, {}, NDRange.linear(32, 8)
+        _assert_lockstep_bails(
+            source, buffers, {}, NDRange.linear(32, 8), "has not written"
         )
-        assert vectorized._one_group_chunks
-        assert lockstep == reference
-        assert reference[0]["out"] == list(range(8)) + list(range(100, 108)) * 3
-        _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(32, 8)))
+        outputs = _run_all_engines(source, buffers, {}, NDRange.linear(32, 8))
+        _assert_all_equal(outputs)
+        assert outputs[0][0]["out"] == list(range(8)) + list(range(100, 108)) * 3
 
     def test_groups_returning_before_a_barrier_count_no_barrier(self):
         source = (
@@ -306,19 +324,18 @@ class TestGroupChunks:
         )
         buffers = {"in": (32, [float(i) for i in range(32)], "global"),
                    "out": (32, None, "global"), "tmp": (8, None, "local")}
-        vectorized, lockstep, reference = _lockstep_and_interpreter(
+        lockstep, reference = _lockstep_and_interpreter(
             source, buffers, {}, NDRange.linear(32, 8)
         )
-        assert not vectorized._one_group_chunks
         assert lockstep == reference
         assert reference[1]["barriers_hit"] == 2
         _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(32, 8)))
 
-    def test_suite_group_kernels_need_no_one_group_rerun(self):
+    def test_suite_group_kernels_complete_in_lockstep(self):
         # Coverage floor: at the pipeline (128/32) and measure-wide
         # (2048/32) launch shapes every suite group kernel completes in
-        # multi-group chunks, so a change cannot quietly fall back to
-        # per-group passes.
+        # lockstep, so a change cannot quietly send them to the closure
+        # engine.
         group_kernels = 0
         for suite in all_suites():
             for benchmark in suite.benchmarks:
@@ -337,10 +354,10 @@ class TestGroupChunks:
                     payload = PayloadGenerator(
                         PayloadConfig(global_size=global_size, local_size=32, seed=0)
                     ).generate(kernel, work_dim=work_dim)
-                    vectorized.execute(payload.pool, payload.scalar_args, payload.ndrange)
-                    assert not vectorized._one_group_chunks, (
-                        benchmark.qualified_name, global_size
-                    )
+                    try:
+                        vectorized.execute(payload.pool, payload.scalar_args, payload.ndrange)
+                    except LockstepBailout as bailout:
+                        pytest.fail(f"{benchmark.qualified_name} at {global_size}/32: {bailout}")
         assert group_kernels == 20
 
 
@@ -444,7 +461,7 @@ class TestAtomics:
             "  atomic_sub(&bins[gid % 4], 1);\n}"
         )
         buffers = {"bins": (4, [0] * 4, "global", "int")}
-        _, lockstep, reference = _lockstep_and_interpreter(
+        lockstep, reference = _lockstep_and_interpreter(
             source, buffers, {}, NDRange.linear(32, 8)
         )
         assert lockstep == reference
