@@ -8,7 +8,11 @@ tier — asserting bit-identical buffer contents and identical execution
 stats at every step.  It also re-checks every suite kernel, at global size
 32 / local size 8 and again at the ``measure-wide`` workload's global
 2048 / local 32, where group kernels run many work-groups per lockstep
-chunk and 2-D kernels have partial groups.  And it verifies
+chunk, 2-D kernels have partial groups, and the GEMM family's hazards
+between work-groups replay in smaller chunks.  It counts the generic
+lockstep launches that completed (``lockstep``), fell back to the closure
+engine (``lockstep-bailout``) and completed only after a replay
+(``lockstep-replayed``, a subset of ``lockstep``).  And it verifies
 the sample-time compile seeding (``compile_parsed_body`` →
 ``seed_compiled_source``) against a fresh frontend run: printed unit, IR
 pickle and semantics pickle must match byte-for-byte.
@@ -85,7 +89,12 @@ def _verify_kernel(
     from repro.driver.harness import HostDriver
     from repro.driver.payload import PayloadConfig, PayloadGenerator
     from repro.errors import KernelTimeoutError, LockstepBailout
-    from repro.execution import CompiledKernel, KernelInterpreter, try_vectorize
+    from repro.execution import (
+        VECTORIZER_STATS,
+        CompiledKernel,
+        KernelInterpreter,
+        try_vectorize,
+    )
     from repro.execution.vectorizer import NotVectorizable, VectorizedKernel
     from repro.preprocess.shim import shim_include_resolver, with_shim
 
@@ -129,9 +138,11 @@ def _verify_kernel(
     if vectorized is None:
         counters["not-vectorizable"] += 1
         return
+    replays = VECTORIZER_STATS.replays
     try:
         lockstep = _execute(vectorized, clones[1])
         counters["lockstep"] += 1
+        counters["lockstep-replayed"] += VECTORIZER_STATS.replays - replays
     except LockstepBailout:
         lockstep = _execute(CompiledKernel(unit, kernel.name), clones[1])
         counters["lockstep-bailout"] += 1
@@ -210,7 +221,8 @@ def main(argv: list[str] | None = None) -> int:
     from repro.suites.registry import all_suites
 
     counters: dict[str, int] = {
-        "closure": 0, "lockstep": 0, "lockstep-bailout": 0, "specialized": 0,
+        "closure": 0, "lockstep": 0, "lockstep-bailout": 0, "lockstep-replayed": 0,
+        "specialized": 0,
         "not-vectorizable": 0, "not-eligible": 0, "timeout": 0,
     }
     failures: list[str] = []

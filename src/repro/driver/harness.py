@@ -321,7 +321,9 @@ class HostDriver:
         records, unscaled profiles) live on the driver, shared across the
         batch; each kernel's engine artifacts come from the process-wide
         compilation cache, and ``run_kernel`` makes at most one lockstep
-        attempt per launch before the closure fallback.  Parallel
+        attempt per launch before the closure fallback: one ``execute``
+        call, which may run the launch again in smaller chunks of
+        work-groups after a memory hazard.  Parallel
         measurement shards the execute stage (see
         :mod:`repro.store.shards`).
         """

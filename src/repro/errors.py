@@ -72,12 +72,29 @@ class LockstepBailout(ReproError):
     """The vectorized (SIMT) execution tier cannot preserve scalar semantics.
 
     Raised internally when a lockstep execution encounters a construct whose
-    NumPy lowering would diverge from the scalar engines (cross-lane memory
-    hazards, int64 overflow, per-lane type divergence, step-budget overrun).
-    The engine router catches it and transparently re-executes the kernel on
+    NumPy lowering would diverge from the scalar engines (memory hazards,
+    int64 overflow, per-lane type divergence, step-budget overrun).  The
+    engine router catches it and transparently re-executes the kernel on
     the closure engine — the memory pool is untouched at raise time, so the
-    fallback is exact.
+    fallback is exact.  A :class:`LockstepHazard` is first replayed in
+    smaller chunks by the lockstep tier itself.
     """
+
+
+class LockstepHazard(LockstepBailout):
+    """A memory-ordering hazard between lanes or work-groups of one chunk.
+
+    Only these bailouts depend on how the launch's work-groups are grouped
+    into lockstep passes, so the lockstep tier replays the launch with at
+    most half as many work-groups per chunk, down to one, before the
+    router falls back to the closure engine.
+
+    Attributes:
+        groups: Work-groups in the chunk the hazard stopped, set by the
+            lockstep tier as the hazard leaves the chunk.
+    """
+
+    groups = 1
 
 
 class PayloadError(ReproError):

@@ -366,7 +366,9 @@ def run_kernel(
       the closure engine.  Every other kernel makes one lockstep attempt:
       the specialized instance when the analyzer proved the kernel SAFE,
       the generic one otherwise, and none when it is outside the
-      vectorizable subset.  A :class:`~repro.errors.LockstepBailout` falls
+      vectorizable subset.  The attempt is one ``execute`` call, which may
+      run the launch again in smaller chunks of work-groups after a memory
+      hazard.  A :class:`~repro.errors.LockstepBailout` out of it falls
       back to the closure engine; the pool is untouched at bailout, so the
       fallback is exact.  Both rungs are bit-identical.
     * ``"vectorized"`` — always attempts the *generic* lockstep tier,

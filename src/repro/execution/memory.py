@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import KernelRuntimeError, LockstepBailout
+from repro.errors import KernelRuntimeError, LockstepBailout, LockstepHazard
 from repro.execution.values import VectorValue, values_equal
 
 
@@ -243,6 +243,11 @@ class LockstepBuffer:
     hold, so a read (or atomic) of a cell its group has not written in the
     chunk bails out.  :meth:`end_chunk` gives every cell the value of the
     last group that wrote it.  Access counts are the slices' sum.
+
+    Each of these ordering checks raises
+    :class:`~repro.errors.LockstepHazard`, which the lockstep tier replays
+    with fewer work-groups per chunk; every other bailout stays a plain
+    :class:`~repro.errors.LockstepBailout`.
     """
 
     __slots__ = (
@@ -339,7 +344,7 @@ class LockstepBuffer:
         if self.size == 0:
             return 0
         if self.lane_offset is not None:
-            raise LockstepBailout(f"pointer-as-scalar read of sliced __local {self.name!r}")
+            raise LockstepHazard(f"pointer-as-scalar read of sliced __local {self.name!r}")
         if lane_ids is not None and self.track_hazards:
             # _record_read checks hazards and tracks readers without touching
             # the read/write counters (to_list() is not a counted access).
@@ -414,7 +419,7 @@ class LockstepBuffer:
     def _check_slice_read(self, spots: np.ndarray) -> None:
         """Bail unless each lane's group wrote the slice cell it reads."""
         if not self.written[spots].all():
-            raise LockstepBailout(
+            raise LockstepHazard(
                 f"__local read of a cell its group has not written on {self.name!r}"
             )
 
@@ -426,9 +431,9 @@ class LockstepBuffer:
         else:
             owners = self.group_writer[cells]
             if np.any((owners != -1) & (owners != groups)):
-                raise LockstepBailout(f"cross-group write-after-write hazard on {self.name!r}")
+                raise LockstepHazard(f"cross-group write-after-write hazard on {self.name!r}")
         if self.group_reader_max is not None and np.any(self.group_reader_max[cells] > groups):
-            raise LockstepBailout(f"cross-group write-after-read hazard on {self.name!r}")
+            raise LockstepHazard(f"cross-group write-after-read hazard on {self.name!r}")
         self.group_writer[cells] = groups
 
     def _record_read(self, cells: np.ndarray, readers: np.ndarray) -> np.ndarray:
@@ -441,7 +446,7 @@ class LockstepBuffer:
         if self.writer is not None:
             owners = self.writer[spots]
             if np.any((owners != -1) & (owners != readers)):
-                raise LockstepBailout(f"cross-lane read-after-write hazard on {self.name!r}")
+                raise LockstepHazard(f"cross-lane read-after-write hazard on {self.name!r}")
         if self.reader_max is None:
             self.reader_max = self._tracker(self.data.size)
         # Lane ids ascend within a scatter, so last-write-wins keeps the max
@@ -452,7 +457,7 @@ class LockstepBuffer:
             if self.group_writer is not None:
                 owners = self.group_writer[cells]
                 if np.any((owners != -1) & (owners != groups)):
-                    raise LockstepBailout(f"cross-group read-after-write hazard on {self.name!r}")
+                    raise LockstepHazard(f"cross-group read-after-write hazard on {self.name!r}")
             if self.group_reader_max is None:
                 self.group_reader_max = self._tracker(self.size)
             self.group_reader_max[cells] = np.maximum(self.group_reader_max[cells], groups)
@@ -470,11 +475,11 @@ class LockstepBuffer:
         else:
             owners = self.writer[spots]
             if np.any((owners != -1) & (owners != writers)):
-                raise LockstepBailout(f"cross-lane write-after-write hazard on {self.name!r}")
+                raise LockstepHazard(f"cross-lane write-after-write hazard on {self.name!r}")
         if self.reader_max is not None and np.any(self.reader_max[spots] > writers):
             # A higher lane already read this cell: sequentially it would
             # have observed this write, but in lockstep it read stale data.
-            raise LockstepBailout(f"cross-lane write-after-read hazard on {self.name!r}")
+            raise LockstepHazard(f"cross-lane write-after-read hazard on {self.name!r}")
         self.writer[spots] = writers
         if self._group_tracked():
             self._record_group_write(cells, writers)
@@ -497,9 +502,9 @@ class LockstepBuffer:
             # unless both are integer updates of one commutative family.
             allowed = poison if family else -1
             if np.any((owners != -1) & (owners != lanes) & (owners != allowed)):
-                raise LockstepBailout(f"atomic after a conflicting update on {self.name!r}")
+                raise LockstepHazard(f"atomic after a conflicting update on {self.name!r}")
         if self.reader_max is not None and np.any(self.reader_max[spots] > lanes):
-            raise LockstepBailout(f"atomic after cross-lane read on {self.name!r}")
+            raise LockstepHazard(f"atomic after cross-lane read on {self.name!r}")
         self.writer[spots] = poison
         if self._group_tracked():
             self._record_group_write(cells, lanes)

@@ -25,8 +25,9 @@ three mechanisms:
 * **Dynamic bailout** (:class:`~repro.errors.LockstepBailout`): cross-lane
   memory hazards, int64 overflow, per-lane int/float type divergence and
   step-budget overruns abort the lockstep pass *before the memory pool is
-  touched* (all work happens on ndarray copies); the router then re-executes
-  on the closure engine.
+  touched* (all work happens on ndarray copies).  A memory hazard first
+  replays the launch in smaller chunks (below); a bailout that remains
+  makes the router re-execute on the closure engine.
 * **Exact accounting**: step counts, branch evaluations, divergence sites,
   helper-call and memory-access counters are maintained per lane/mask in
   exactly the places the scalar engines bump them.
@@ -55,9 +56,12 @@ wrote, or writes a cell a higher group read.  A ``__local`` pointer
 argument gets one slice per group, filled with the buffer's contents at
 the start of the chunk; a group may read only cells it has written in the
 chunk, and at the end each cell takes the value of the last group that
-wrote it (see :class:`~repro.execution.memory.LockstepBuffer`).  A bailout
-in any chunk falls back to the closure engine, whose generator scheduler
-handles divergent barriers.
+wrote it (see :class:`~repro.execution.memory.LockstepBuffer`).  A memory
+hazard (:class:`~repro.errors.LockstepHazard`) in a chunk of ``g > 1``
+groups runs the launch again from its first chunk with at most ``g // 2``
+groups per chunk, and the instance starts later launches at that cap.  A
+hazard in a one-group chunk, or any other bailout, falls back to the
+closure engine, whose generator scheduler handles divergent barriers.
 
 Private (per-item) arrays execute as ``(n_items, size)`` matrices.  Their
 access counters are deliberately *not* folded into the stats — the scalar
@@ -72,7 +76,7 @@ import numpy as np
 from repro.clc import ast_nodes as ast
 from repro.clc.builtins import SYNC_FUNCTIONS, WORK_ITEM_FUNCTIONS
 from repro.clc.types import AddressSpace, PointerType, VectorType
-from repro.errors import ExecutionError, LockstepBailout
+from repro.errors import ExecutionError, LockstepBailout, LockstepHazard
 from repro.execution.builtins_impl import evaluate_builtin_lockstep
 from repro.execution.interpreter import ExecutionResult, ExecutionStats
 from repro.execution.memory import Buffer, LockstepBuffer, MemoryPool
@@ -119,6 +123,9 @@ class VectorizerStats:
         self.kernels_specialized = 0
         self.executions = 0
         self.bailouts = 0
+        #: Launches that completed in lockstep only after a hazard split
+        #: them into smaller chunks.
+        self.replays = 0
 
     def reset(self) -> None:
         self.__init__()
@@ -465,11 +472,13 @@ class VectorizedKernel:
         #: compile to bailouts (see _compile_break/_compile_continue).
         self._break_depth = 0
         self._continue_depth = 0
-        #: Set after a dynamic bailout: the hazards that trigger one are a
+        #: Most work-groups per chunk a launch starts at: ``None`` for no
+        #: cap, ``k`` after a launch completed only at cap ``k``, and ``0``
+        #: after a bailout, which disables the instance.  Bailouts are a
         #: property of the kernel's access pattern far more than of the
-        #: payload, so later executions skip straight to the closure engine
-        #: instead of re-running the doomed lockstep pass.
-        self._disabled = False
+        #: payload, so later launches skip the passes the last one had to
+        #: split, or go straight to the closure engine.
+        self._max_groups: int | None = None
         #: Kernels with barriers or __local memory are *group kernels*: a
         #: chunk of their launch holds whole work-groups (set during
         #: compilation when either construct is seen).
@@ -531,32 +540,53 @@ class VectorizedKernel:
     ) -> ExecutionResult:
         """Run the kernel in lockstep; same contract as the other engines.
 
-        Raises :class:`~repro.errors.LockstepBailout` — with the memory pool
-        untouched — whenever completing the pass could diverge from the
-        scalar engines; the router then falls back to the closure engine.
+        A :class:`~repro.errors.LockstepHazard` in a chunk of ``g > 1``
+        work-groups runs the launch again from its first chunk with at most
+        ``g // 2`` groups per chunk.  A hazard in a one-group chunk, or any
+        other bailout, raises :class:`~repro.errors.LockstepBailout` — with
+        the memory pool untouched — and the router then falls back to the
+        closure engine.
         """
-        if self._disabled:
+        if self._max_groups == 0:
             raise LockstepBailout("disabled after a prior bailout")
         VECTORIZER_STATS.executions += 1
+        cap = self._max_groups
         try:
             with np.errstate(all="ignore"):
-                return self._execute(pool, scalar_args, ndrange)
+                while True:
+                    try:
+                        result = self._execute(pool, scalar_args, ndrange, cap)
+                        break
+                    except LockstepHazard as hazard:
+                        if hazard.groups <= 1:
+                            raise
+                        cap = hazard.groups // 2
         except LockstepBailout:
-            self._disabled = True
+            self._max_groups = 0
             VECTORIZER_STATS.bailouts += 1
             raise
+        if cap != self._max_groups:
+            self._max_groups = cap
+            VECTORIZER_STATS.replays += 1
+        return result
 
-    def _chunks(self, group_of: np.ndarray, n_groups: int, group_size: int) -> list:
+    def _chunks(
+        self, group_of: np.ndarray, n_groups: int, group_size: int, cap: int | None = None
+    ) -> list:
         """The launch as ``[begin, end, groups]`` lane ranges in group order.
 
         A flat kernel is one chunk.  A group kernel puts each maximal run of
         full work-groups in one chunk and each partial group in a chunk of
         its own: a partial group leaves cells of a shared ``__local`` tile
         unwritten, and sequentially those cells keep the previous group's
-        values, which no multi-group pass reproduces.
+        values, which no multi-group pass reproduces.  A *cap* splits each
+        of these chunks into runs of at most *cap* whole groups; a flat
+        kernel's lanes are in the scalar engines' item order, so its chunks
+        need nothing more.
         """
-        if not self._needs_groups:
+        if not self._needs_groups and cap is None:
             return [[0, int(group_of.size), n_groups]]
+        limit = cap or n_groups
         multi = not self._declares_local
         bounds = np.searchsorted(group_of, np.arange(n_groups + 1)).tolist()
         chunks: list = []
@@ -566,16 +596,16 @@ class VectorizedKernel:
             if begin == end:
                 extendable = False
                 continue
-            full = multi and end - begin == group_size
-            if full and extendable:
+            joins = not self._needs_groups or (multi and end - begin == group_size)
+            if joins and extendable and chunks[-1][2] < limit:
                 chunks[-1][1] = end
                 chunks[-1][2] += 1
             else:
                 chunks.append([begin, end, 1])
-            extendable = full
+            extendable = joins
         return chunks
 
-    def _execute(self, pool, scalar_args, ndrange) -> ExecutionResult:
+    def _execute(self, pool, scalar_args, ndrange, cap=None) -> ExecutionResult:
         gids, lids, grpids, group_of, n_groups = _lane_layout(ndrange)
         n = int(group_of.size)
 
@@ -616,7 +646,9 @@ class VectorizedKernel:
 
         # Chunks run in group order, each one lockstep pass that sees every
         # earlier chunk's writes; the pool is written only after the last.
-        for begin, end, groups in self._chunks(group_of, n_groups, ndrange.work_group_size):
+        for begin, end, groups in self._chunks(
+            group_of, n_groups, ndrange.work_group_size, cap
+        ):
             count = end - begin
             ctx = _Ctx(count, self._max_steps, stats)
             ctx.global_size = ndrange.global_size
@@ -639,8 +671,12 @@ class VectorizedKernel:
                 view.begin_chunk(lane_group, groups)
             ctx.buffer_views = list(views)
             ctx.return_stack.append(_ReturnFrame(count))
-            if self._body_fn is not None:
-                self._body_fn(ctx, None)
+            try:
+                if self._body_fn is not None:
+                    self._body_fn(ctx, None)
+            except LockstepHazard as hazard:
+                hazard.groups = groups
+                raise
             ctx.check_budget()
             for view in views:
                 view.end_chunk()

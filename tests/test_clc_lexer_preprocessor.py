@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.clc.lexer import TokenKind, tokenize
 from repro.clc.preprocessor import Preprocessor, preprocess, strip_comments
@@ -83,9 +83,33 @@ class TestLexer:
     @given(st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"),
                                           whitelist_characters="_ +-*/()[]{};,.<>=!&|^%~?:"),
                    max_size=200))
+    @example("/*")
+    @example("a /* b */ c /* d")
     def test_lexer_never_crashes_on_benign_text(self, text):
-        tokens = tokenize(text)
-        assert tokens[-1].kind is TokenKind.EOF
+        # The only malformed input this alphabet can spell is a block
+        # comment left open, which must raise the classified LexerError.
+        if _opens_an_unclosed_block_comment(text):
+            with pytest.raises(LexerError) as raised:
+                tokenize(text)
+            assert raised.value.message == "unterminated block comment"
+        else:
+            tokens = tokenize(text)
+            assert tokens[-1].kind is TokenKind.EOF
+
+
+def _opens_an_unclosed_block_comment(text: str) -> bool:
+    """Whether *text*, which holds no newline or quote, has a ``/*`` with no
+    later ``*/`` outside a ``//`` comment (which runs to the end of it)."""
+    position = 0
+    while True:
+        line = text.find("//", position)
+        block = text.find("/*", position)
+        if block == -1 or (line != -1 and line < block):
+            return False
+        close = text.find("*/", block + 2)
+        if close == -1:
+            return True
+        position = close + 2
 
 
 class TestStripComments:

@@ -4,8 +4,8 @@ The three-way differential suite (test_execution_compiler.py) asserts
 bit-identity over the benchmark inventory; these tests pin down the tier's
 *mechanisms*: engine selection and caching, bailout purity (the memory pool
 must be untouched), cross-lane hazard detection, chunks of whole
-work-groups (barrier epochs, order between groups, ``__local`` slices) and
-order-independent atomics.
+work-groups (barrier epochs, order between groups, ``__local`` slices),
+hazard replay in smaller chunks and order-independent atomics.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from repro.driver.harness import HostDriver
 from repro.driver.payload import PayloadConfig, PayloadGenerator
 from repro.errors import LockstepBailout
 from repro.execution import (
-    GLOBAL_COMPILATION_CACHE,
-    CompiledKernel,
+    VECTORIZER_STATS,
     KernelInterpreter,
     MemoryPool,
     NDRange,
@@ -87,6 +86,43 @@ def _assert_all_equal(outputs):
     reference = outputs[0]
     for candidate in outputs[1:]:
         assert candidate == reference
+
+
+def _replays_during(function, *args):
+    """``VECTORIZER_STATS.replays`` added while *function* runs, and its
+    result."""
+    before = VECTORIZER_STATS.replays
+    result = function(*args)
+    return VECTORIZER_STATS.replays - before, result
+
+
+def _spy_caps(vectorized):
+    """Record the chunk cap of every ``_execute`` call on *vectorized*."""
+    caps = []
+    execute = vectorized._execute
+
+    def spy(pool, scalar_args, ndrange, cap=None):
+        caps.append(cap)
+        return execute(pool, scalar_args, ndrange, cap)
+
+    vectorized._execute = spy
+    return caps
+
+
+def _suite_lockstep(benchmark):
+    """The benchmark's kernel declaration and a fresh generic lockstep
+    instance of it (``None`` when not vectorizable)."""
+    unit = compile_source(
+        with_shim(benchmark.source), include_resolver=shim_include_resolver, strict=False,
+    ).unit
+    kernel = unit.kernel(benchmark.kernel_name) if benchmark.kernel_name else unit.kernels[0]
+    return kernel, try_vectorize(unit, kernel.name)
+
+
+def _suite_payload(kernel, global_size):
+    return PayloadGenerator(
+        PayloadConfig(global_size=global_size, local_size=32, seed=0)
+    ).generate(kernel, work_dim=HostDriver._kernel_work_dim(kernel))
 
 
 class TestEngineSelection:
@@ -255,11 +291,12 @@ class TestGroupChunks:
         )
         _assert_all_equal(outputs)
 
-    def test_cross_group_global_read_after_barrier_falls_back(self):
+    def test_cross_group_global_read_after_barrier_replays_one_group_per_chunk(self):
         # Group g reads the cell group g + 1 writes before the barrier.
         # Sequentially group g runs first and sees the old value; a
         # multi-group pass would see the new one, so the chunk-wide
-        # trackers bail and the router falls back to the closure engine.
+        # trackers raise a hazard in chunks of four and then two groups,
+        # and the launch completes one group per chunk.
         source = (
             "__kernel void G(__global int* a, __global int* b, __local int* tmp) {\n"
             "  int lid = get_local_id(0); int grp = get_group_id(0);\n"
@@ -270,14 +307,19 @@ class TestGroupChunks:
         )
         buffers = {"a": (4, [0] * 4, "global", "int"), "b": (4, None, "global", "int"),
                    "tmp": (8, None, "local", "int")}
-        _assert_lockstep_bails(source, buffers, {}, NDRange.linear(32, 8), "cross-group")
+        replays, (lockstep, reference) = _replays_during(
+            _lockstep_and_interpreter, source, buffers, {}, NDRange.linear(32, 8)
+        )
+        assert lockstep == reference
+        assert replays == 1
         outputs = _run_all_engines(source, buffers, {}, NDRange.linear(32, 8))
         _assert_all_equal(outputs)
         assert outputs[0][0]["b"] == [1, 1, 1, 2]
 
-    def test_cross_group_read_of_an_atomic_counter_after_barrier_falls_back(self):
+    def test_cross_group_read_of_an_atomic_counter_after_barrier_replays(self):
         # Sequentially group g reads the counter after g + 1 increments; a
-        # multi-group pass has applied all four before any group reads.
+        # multi-group pass has applied all four before any group reads, so
+        # only one group per chunk completes.
         source = (
             "__kernel void H(__global int* count, __global int* out, __local int* tmp) {\n"
             "  int lid = get_local_id(0);\n"
@@ -288,15 +330,20 @@ class TestGroupChunks:
         )
         buffers = {"count": (1, [0], "global", "int"), "out": (4, None, "global", "int"),
                    "tmp": (8, None, "local", "int")}
-        _assert_lockstep_bails(source, buffers, {}, NDRange.linear(32, 8), "cross-group")
+        replays, (lockstep, reference) = _replays_during(
+            _lockstep_and_interpreter, source, buffers, {}, NDRange.linear(32, 8)
+        )
+        assert lockstep == reference
+        assert replays == 1
         outputs = _run_all_engines(source, buffers, {}, NDRange.linear(32, 8))
         _assert_all_equal(outputs)
         assert outputs[0][0]["out"] == [2, 3, 4, 5]
 
-    def test_local_read_of_a_cell_the_group_has_not_written_falls_back(self):
+    def test_local_read_of_a_cell_the_group_has_not_written_replays(self):
         # Every group first reads __local cells it has not written; group 0
         # writes them only after the barrier, so sequentially groups 1-3
-        # read group 0's values, which their slices do not hold.
+        # read group 0's values, which their slices do not hold.  One group
+        # per chunk reads the buffer itself, with no slices.
         source = (
             "__kernel void C(__global int* out, __local int* tmp) {\n"
             "  int lid = get_local_id(0); int gid = get_global_id(0);\n"
@@ -306,9 +353,11 @@ class TestGroupChunks:
         )
         buffers = {"out": (32, None, "global", "int"),
                    "tmp": (8, list(range(8)), "local", "int")}
-        _assert_lockstep_bails(
-            source, buffers, {}, NDRange.linear(32, 8), "has not written"
+        replays, (lockstep, reference) = _replays_during(
+            _lockstep_and_interpreter, source, buffers, {}, NDRange.linear(32, 8)
         )
+        assert lockstep == reference
+        assert replays == 1
         outputs = _run_all_engines(source, buffers, {}, NDRange.linear(32, 8))
         _assert_all_equal(outputs)
         assert outputs[0][0]["out"] == list(range(8)) + list(range(100, 108)) * 3
@@ -334,31 +383,115 @@ class TestGroupChunks:
     def test_suite_group_kernels_complete_in_lockstep(self):
         # Coverage floor: at the pipeline (128/32) and measure-wide
         # (2048/32) launch shapes every suite group kernel completes in
-        # lockstep, so a change cannot quietly send them to the closure
-        # engine.
+        # lockstep without a replay, so a change cannot quietly send them
+        # to the closure engine or to one-group chunks.
         group_kernels = 0
         for suite in all_suites():
             for benchmark in suite.benchmarks:
-                unit = compile_source(
-                    with_shim(benchmark.source), include_resolver=shim_include_resolver,
-                    strict=False,
-                ).unit
-                kernel = (unit.kernel(benchmark.kernel_name) if benchmark.kernel_name
-                          else unit.kernels[0])
-                vectorized = try_vectorize(unit, kernel.name)
+                kernel, vectorized = _suite_lockstep(benchmark)
                 if vectorized is None or not vectorized._needs_groups:
                     continue
                 group_kernels += 1
-                work_dim = HostDriver._kernel_work_dim(kernel)
                 for global_size in (128, 2048):
-                    payload = PayloadGenerator(
-                        PayloadConfig(global_size=global_size, local_size=32, seed=0)
-                    ).generate(kernel, work_dim=work_dim)
+                    payload = _suite_payload(kernel, global_size)
+                    where = f"{benchmark.qualified_name} at {global_size}/32"
                     try:
                         vectorized.execute(payload.pool, payload.scalar_args, payload.ndrange)
                     except LockstepBailout as bailout:
-                        pytest.fail(f"{benchmark.qualified_name} at {global_size}/32: {bailout}")
+                        pytest.fail(f"{where}: {bailout}")
+                    assert vectorized._max_groups is None, f"{where} needed a replay"
         assert group_kernels == 20
+
+
+class TestReplay:
+    """A memory hazard reruns the launch with at most half as many
+    work-groups per chunk, down to one group; any other bailout falls back
+    to the closure engine at once."""
+
+    def test_flat_kernel_hazard_between_groups_replays_and_completes(self):
+        # Item gid + 16 reads the cell item gid wrote: a hazard between the
+        # groups of a 64/16 launch, which completes one group per chunk.
+        # Each item starts from the program-scope variable's initial value.
+        source = (
+            "int seen = 3;\n"
+            "__kernel void F(__global float* c, __global int* d) {\n"
+            "  int gid = get_global_id(0);\n"
+            "  seen = seen + gid;\n"
+            "  d[gid] = seen;\n"
+            "  c[gid % 16] = c[gid % 16] + 1.0f;\n}"
+        )
+        buffers = {"c": (16, None, "global"), "d": (64, None, "global", "int")}
+        replays, (lockstep, reference) = _replays_during(
+            _lockstep_and_interpreter, source, buffers, {}, NDRange.linear(64, 16)
+        )
+        assert lockstep == reference
+        assert replays == 1
+        assert reference[0]["c"] == [4.0] * 16
+        assert reference[0]["d"] == [3 + gid for gid in range(64)]
+        _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(64, 16)))
+
+    def test_neighbour_chain_inside_a_group_still_falls_back(self):
+        # The Rodinia nw shape: every item reads its left neighbour's cell,
+        # a hazard inside one group that no split removes.
+        source = (
+            "__kernel void N(__global int* score) {\n"
+            "  int tid = get_local_id(0);\n"
+            "  int base = get_group_id(0) * get_local_size(0);\n"
+            "  if (tid > 0) { score[base + tid] = score[base + tid - 1] + 1; }\n}"
+        )
+        buffers = {"score": (64, [0] * 64, "global", "int")}
+        bailouts, replays = VECTORIZER_STATS.bailouts, VECTORIZER_STATS.replays
+        _assert_lockstep_bails(source, buffers, {}, NDRange.linear(64, 16), "hazard")
+        assert VECTORIZER_STATS.bailouts == bailouts + 1
+        assert VECTORIZER_STATS.replays == replays
+        outputs = _run_all_engines(source, buffers, {}, NDRange.linear(64, 16))
+        _assert_all_equal(outputs)
+        assert outputs[0][0]["score"] == list(range(16)) * 4
+
+    def test_bailout_that_is_not_a_hazard_runs_the_launch_once(self):
+        source = (
+            "__kernel void O(__global long* a) {\n"
+            "  int i = get_global_id(0);\n"
+            "  long v = LONG_MAX;\n"
+            "  a[i] = v + i;\n}"
+        )
+        vectorized = try_vectorize(parse(source))
+        caps = _spy_caps(vectorized)
+        with pytest.raises(LockstepBailout, match="int64"):
+            vectorized.execute(_pool(a=(64, None, "global", "long")), {}, NDRange.linear(64, 16))
+        assert caps == [None]
+        assert vectorized._max_groups == 0
+
+    def test_next_launch_starts_at_the_remembered_cap(self):
+        source = (
+            "__kernel void F(__global float* c) {\n"
+            "  int gid = get_global_id(0);\n"
+            "  c[gid % 16] = c[gid % 16] + 1.0f;\n}"
+        )
+        vectorized = try_vectorize(parse(source))
+        caps = _spy_caps(vectorized)
+        replays = VECTORIZER_STATS.replays
+        for _ in range(2):
+            vectorized.execute(_pool(c=(16, None, "global")), {}, NDRange.linear(64, 16))
+        assert caps == [None, 2, 1, 1]
+        assert vectorized._max_groups == 1
+        assert VECTORIZER_STATS.replays == replays + 1
+
+    @pytest.mark.parametrize("name", ["PolyBench.gemm", "PolyBench.syr2k", "Parboil.sgemm"])
+    def test_gemm_family_completes_in_lockstep_at_measure_wide_shape(self, name):
+        # Coverage floor: at 2048/32 the GEMM family's `C[(i * 32 + j) % n]`
+        # makes items of different groups share a cell; replay keeps these
+        # launches off the closure engine.
+        benchmark = next(
+            benchmark for suite in all_suites() for benchmark in suite.benchmarks
+            if benchmark.qualified_name == name
+        )
+        kernel, vectorized = _suite_lockstep(benchmark)
+        payload = _suite_payload(kernel, 2048)
+        try:
+            vectorized.execute(payload.pool, payload.scalar_args, payload.ndrange)
+        except LockstepBailout as bailout:
+            pytest.fail(f"{name} at 2048/32: {bailout}")
 
 
 class TestAtomics:
