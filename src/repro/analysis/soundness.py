@@ -10,7 +10,10 @@ by running both legs for each kernel:
   compiled unit (the same unit the engines execute);
 * **dynamic leg** — ``try_vectorize`` (a ``None`` verdict is recorded as
   ``"rejected"``), then one rule-based payload executed on the lockstep
-  tier, recording a clean finish or the bailout cause.
+  tier, recording a clean finish or the bailout cause.  A launch that
+  completes only after replaying a memory hazard in smaller chunks of
+  work-groups is a bailout too: the specialized tier that a ``safe``
+  verdict selects runs one pass with no hazard checks.
 
 A ``safe``-but-bailed kernel is a **violation** and fails the harness; a
 ``bailout``-but-clean kernel is a **precision miss** (the router skipped a
@@ -189,7 +192,7 @@ def _dynamic_leg(
     """Vectorize and execute one payload; classify the outcome."""
     from repro.driver.harness import kernel_work_dim
     from repro.driver.payload import PayloadConfig, PayloadGenerator
-    from repro.execution.vectorizer import try_vectorize
+    from repro.execution.vectorizer import VECTORIZER_STATS, try_vectorize
 
     vectorized = try_vectorize(unit, kernel_name, max_steps_per_item)
     if vectorized is None:
@@ -204,12 +207,15 @@ def _dynamic_leg(
         payload = generator.generate(kernel, work_dim=kernel_work_dim(kernel))
     except PayloadError as error:
         return "error", f"payload: {error}"
+    replays = VECTORIZER_STATS.replays
     try:
         vectorized.execute(payload.pool, payload.scalar_args, payload.ndrange)
     except LockstepBailout as bailout:
         return "bailout", str(bailout)
     except Exception as error:  # pragma: no cover - defensive
         return "error", f"{type(error).__name__}: {error}"
+    if VECTORIZER_STATS.replays != replays:
+        return "bailout", "memory hazard replayed in smaller chunks of work-groups"
     return "clean", ""
 
 

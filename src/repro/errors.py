@@ -84,10 +84,12 @@ class LockstepBailout(ReproError):
 class LockstepHazard(LockstepBailout):
     """A memory-ordering hazard between lanes or work-groups of one chunk.
 
-    Only these bailouts depend on how the launch's work-groups are grouped
-    into lockstep passes, so the lockstep tier replays the launch with at
-    most half as many work-groups per chunk, down to one, before the
-    router falls back to the closure engine.
+    These are the bailouts the lockstep tier replays: it runs the launch
+    again with at most half as many work-groups per chunk, down to one,
+    before the router falls back to the closure engine.  Every other
+    bailout falls back at once, among them a barrier that the groups of a
+    multi-group chunk reach divergently, although one group per chunk
+    might complete it.
 
     Attributes:
         groups: Work-groups in the chunk the hazard stopped, set by the

@@ -59,9 +59,10 @@ chunk, and at the end each cell takes the value of the last group that
 wrote it (see :class:`~repro.execution.memory.LockstepBuffer`).  A memory
 hazard (:class:`~repro.errors.LockstepHazard`) in a chunk of ``g > 1``
 groups runs the launch again from its first chunk with at most ``g // 2``
-groups per chunk, and the instance starts later launches at that cap.  A
-hazard in a one-group chunk, or any other bailout, falls back to the
-closure engine, whose generator scheduler handles divergent barriers.
+groups per chunk; every launch starts with no cap.  A hazard in a
+one-group chunk, or any other bailout (a barrier that the groups of a
+chunk reach divergently included), falls back to the closure engine,
+whose generator scheduler handles divergent barriers.
 
 Private (per-item) arrays execute as ``(n_items, size)`` matrices.  Their
 access counters are deliberately *not* folded into the stats — the scalar
@@ -472,13 +473,11 @@ class VectorizedKernel:
         #: compile to bailouts (see _compile_break/_compile_continue).
         self._break_depth = 0
         self._continue_depth = 0
-        #: Most work-groups per chunk a launch starts at: ``None`` for no
-        #: cap, ``k`` after a launch completed only at cap ``k``, and ``0``
-        #: after a bailout, which disables the instance.  Bailouts are a
+        #: Set after a dynamic bailout: the hazards that trigger one are a
         #: property of the kernel's access pattern far more than of the
-        #: payload, so later launches skip the passes the last one had to
-        #: split, or go straight to the closure engine.
-        self._max_groups: int | None = None
+        #: payload, so later executions skip straight to the closure engine
+        #: instead of re-running the doomed lockstep pass.
+        self._disabled = False
         #: Kernels with barriers or __local memory are *group kernels*: a
         #: chunk of their launch holds whole work-groups (set during
         #: compilation when either construct is seen).
@@ -547,10 +546,10 @@ class VectorizedKernel:
         the memory pool untouched — and the router then falls back to the
         closure engine.
         """
-        if self._max_groups == 0:
+        if self._disabled:
             raise LockstepBailout("disabled after a prior bailout")
         VECTORIZER_STATS.executions += 1
-        cap = self._max_groups
+        cap = None
         try:
             with np.errstate(all="ignore"):
                 while True:
@@ -562,11 +561,10 @@ class VectorizedKernel:
                             raise
                         cap = hazard.groups // 2
         except LockstepBailout:
-            self._max_groups = 0
+            self._disabled = True
             VECTORIZER_STATS.bailouts += 1
             raise
-        if cap != self._max_groups:
-            self._max_groups = cap
+        if cap is not None:
             VECTORIZER_STATS.replays += 1
         return result
 

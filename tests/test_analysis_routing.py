@@ -1,8 +1,12 @@
 """Engine routing, the soundness harness and the lint front end."""
 
+import dataclasses
+
 import pytest
 
-from repro.analysis import ANALYSIS_STATS
+from repro.analysis import ANALYSIS_STATS, analyze_kernel
+from repro.analysis import soundness
+from repro.analysis.classify import Classification
 from repro.analysis.lint import lint_source, lint_sources, lint_suites
 from repro.analysis.soundness import check_suites, cross_check_source
 from repro.clc import compile_source
@@ -27,6 +31,15 @@ SAFE = """
 kernel void k(global float* a, global float* out, const int n) {
     int gid = get_global_id(0);
     out[gid] = a[gid] * 2.0f;
+}
+"""
+
+# Items gid and gid + 64 share a cell: at the harness's 256/64 the lockstep
+# tier completes the launch only one work-group per chunk.
+HAZARD_BETWEEN_GROUPS = """
+kernel void k(global float* c) {
+    int gid = get_global_id(0);
+    c[gid % 64] = c[gid % 64] + 1.0f;
 }
 """
 
@@ -101,6 +114,23 @@ class TestSoundnessHarness:
         assert record.dynamic == "bailout"
         assert "divergent work-group barrier" in record.dynamic_cause
         assert record.agrees
+
+    def test_replayed_hazard_between_groups_is_a_bailout(self, monkeypatch):
+        # The specialized tier a SAFE verdict selects runs one pass with no
+        # hazard checks, so a launch that completes only after a replay
+        # must still count against a SAFE verdict.
+        record = cross_check_source(HAZARD_BETWEEN_GROUPS, name="hazard")
+        assert record.dynamic == "bailout"
+        assert "replayed" in record.dynamic_cause
+
+        def analyze_as_safe(unit, kernel_name):
+            verdict = analyze_kernel(unit, kernel_name)
+            return dataclasses.replace(verdict, classification=Classification.SAFE)
+
+        monkeypatch.setattr(soundness, "analyze_kernel", analyze_as_safe)
+        record = cross_check_source(HAZARD_BETWEEN_GROUPS, name="hazard")
+        assert record.static == "safe"
+        assert record.violation
 
     def test_uncompilable_source_recorded(self):
         record = cross_check_source("kernel void k(", name="broken")
