@@ -135,14 +135,12 @@ class KernelVerdict:
         }
 
 
-# Flag -> possible (never certain) dynamic bailout cause.
+# Flag -> possible (never certain) dynamic bailout cause.  The flags of
+# constructs the lockstep tier refuses (helper calls, private arrays) have
+# no cause here; like every flag, they still keep a kernel out of ``safe``.
 _BAILOUT_FLAG_CAUSES = {
-    dv.FLAG_HELPER_FALLOFF: "helper fell off the end on some lanes",
     dv.FLAG_POINTER_TERNARY_DIVERGENT: "divergent pointer-valued ternary",
     dv.FLAG_POINTER_REBIND_DIVERGENT: "per-lane pointer rebinding",
-    dv.FLAG_PRIVATE_ARRAY_DIVERGENT_SIZE: "lane-divergent private array size",
-    dv.FLAG_PRIVATE_ARRAY_DIVERGENT_DECL: "divergent private-array declaration",
-    dv.FLAG_ATOMIC_PRIVATE: "atomic on a private array",
     dv.FLAG_OVERFLOW_RISK: "stored value exceeds int64",
 }
 

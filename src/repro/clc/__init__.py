@@ -17,7 +17,7 @@ from repro.clc.codegen import lower
 from repro.clc.ir import IRModule
 from repro.clc.lexer import Token, TokenKind, tokenize
 from repro.clc.parser import Parser, parse, parse_kernel
-from repro.clc.preprocessor import IncludeResolver, Preprocessor, preprocess
+from repro.clc.preprocessor import IncludeResolver, Preprocessor, PreprocessorResult, preprocess
 from repro.clc.semantics import SemanticReport, check
 from repro.clc.types import (
     AddressSpace,
@@ -119,18 +119,16 @@ def register_prelude(text: str, include_resolver: IncludeResolver | None = None)
         _PRELUDES[text] = _Prelude(text, include_resolver)
 
 
-def _compile_with_prelude(
+def _merge_with_prelude(
     prelude: _Prelude,
-    body: str,
+    body_unit: TranslationUnit,
+    result: PreprocessorResult,
     source: str,
-    include_resolver: IncludeResolver | None,
     require_kernel: bool,
     strict: bool,
 ) -> CompilationResult:
-    preprocessor = Preprocessor(include_resolver, macro_table=prelude.macros)
-    result = preprocessor.preprocess(body)
-    parser = Parser(tokenize(result.text), type_table=prelude.type_table)
-    body_unit = parser.parse_translation_unit()
+    """Check and lower the prelude's unit merged with *body_unit*, the parse
+    of the body's preprocessing *result*."""
     unit = TranslationUnit(
         functions=prelude.unit.functions + body_unit.functions,
         typedefs=prelude.unit.typedefs + body_unit.typedefs,
@@ -150,6 +148,21 @@ def _compile_with_prelude(
         included_headers=prelude.included_headers + result.included_headers,
         body_unit=body_unit,
     )
+
+
+def _compile_with_prelude(
+    prelude: _Prelude,
+    body: str,
+    source: str,
+    include_resolver: IncludeResolver | None,
+    require_kernel: bool,
+    strict: bool,
+) -> CompilationResult:
+    preprocessor = Preprocessor(include_resolver, macro_table=prelude.macros)
+    result = preprocessor.preprocess(body)
+    parser = Parser(tokenize(result.text), type_table=prelude.type_table)
+    body_unit = parser.parse_translation_unit()
+    return _merge_with_prelude(prelude, body_unit, result, source, require_kernel, strict)
 
 
 def compile_parsed_body(
@@ -202,25 +215,7 @@ def compile_parsed_body(
         # A directive or macro expansion changed the body: a fresh compile
         # would parse different text than body_unit represents.
         return None
-    unit = TranslationUnit(
-        functions=prelude.unit.functions + body_unit.functions,
-        typedefs=prelude.unit.typedefs + body_unit.typedefs,
-        structs=prelude.unit.structs + body_unit.structs,
-        globals=prelude.unit.globals + body_unit.globals,
-    )
-    report = check(unit, require_kernel=require_kernel)
-    if strict:
-        report.raise_if_failed()
-    ir = lower(unit)
-    return CompilationResult(
-        source=source,
-        preprocessed=prelude.preprocessed + result.text,
-        unit=unit,
-        ir=ir,
-        semantics=report,
-        included_headers=prelude.included_headers + result.included_headers,
-        body_unit=body_unit,
-    )
+    return _merge_with_prelude(prelude, body_unit, result, source, require_kernel, strict)
 
 
 def compile_source(

@@ -4,9 +4,9 @@ The closure engine (:mod:`repro.execution.compiler`) executes one work-item
 at a time; this module lowers a kernel to closures that advance **all**
 work-items of an NDRange in lockstep, with every runtime scalar held as a
 ``(n_items,)`` NumPy lane array and boolean divergence masks selecting the
-active lanes through ``if``/``for``/``while``/``switch``.  Loads and stores
-become masked gathers/scatters against :class:`LockstepBuffer` views of the
-memory pool.
+active lanes through ``if``, ``for``, ``break`` and ``return``.  Loads and
+stores become masked gathers/scatters against :class:`LockstepBuffer` views
+of the memory pool.
 
 The tier is a *bit-identical* stand-in for the scalar engines — equal
 buffer contents and :class:`ExecutionStats` on every kernel it accepts,
@@ -16,21 +16,25 @@ three mechanisms:
 
 * **Static rejection** (:class:`NotVectorizable`): kernels using atomics
   whose result is used or whose order matters, OpenCL vector types,
-  ``vload``/``vstore``, address-of, or recursion compile to ``None`` and
-  run on the closure engine.  These are precisely the constructs whose
-  scheduling or values cannot be reproduced by a lockstep pass.
-  Result-discarded, order-independent atomics run in lockstep through
-  ``np.ufunc.at``.  These raises are the only statement of the subset:
-  the static analyzer's ``rejected`` class is :func:`lockstep_rejection`.
+  ``vload``/``vstore`` or address-of compile to ``None`` and run on the
+  closure engine: a lockstep pass cannot reproduce their scheduling or
+  values.  Result-discarded, order-independent atomics run in lockstep
+  through ``np.ufunc.at``.  Kernels using ``while``, ``do``, ``switch``,
+  ``continue``, a call to a function defined in the unit, a private array,
+  a ``__local`` array declaration or a program-scope variable are refused
+  too: the closure engine runs them bit-identically, and neither the
+  benchmark suites nor the synthesized kernels use them.  These raises are
+  the only statement of the subset: the static analyzer's ``rejected``
+  class is :func:`lockstep_rejection`.
 * **Dynamic bailout** (:class:`~repro.errors.LockstepBailout`): cross-lane
   memory hazards, int64 overflow, per-lane int/float type divergence and
   step-budget overruns abort the lockstep pass *before the memory pool is
   touched* (all work happens on ndarray copies).  A memory hazard first
   replays the launch in smaller chunks (below); a bailout that remains
   makes the router re-execute on the closure engine.
-* **Exact accounting**: step counts, branch evaluations, divergence sites,
-  helper-call and memory-access counters are maintained per lane/mask in
-  exactly the places the scalar engines bump them.
+* **Exact accounting**: step counts, branch evaluations, divergence sites
+  and memory-access counters are maintained per lane/mask in exactly the
+  places the scalar engines bump them.
 
 The only analyzer fact the tier consumes is ``eligible`` (see
 :mod:`repro.analysis.specialize`): a SAFE kernel has no race site, so its
@@ -42,8 +46,7 @@ whole work-groups executed as one lockstep pass that sees every earlier
 chunk's writes; the memory pool is written only after the last chunk
 succeeds.  A kernel without barriers or ``__local`` memory is one chunk of
 every group.  A *group kernel* (one with either) puts each maximal run of
-full work-groups in one chunk and each partial group in its own, and keeps
-one group per chunk when it declares a ``__local`` array.  A
+full work-groups in one chunk and each partial group in its own.  A
 statement-level ``barrier()`` is a hazard-epoch boundary — the scalar
 engines advance every work-item of a group to the barrier before any
 proceeds, so pre-barrier writes are committed state for post-barrier reads
@@ -63,11 +66,6 @@ groups per chunk; every launch starts with no cap.  A hazard in a
 one-group chunk, or any other bailout (a barrier that the groups of a
 chunk reach divergently included), falls back to the closure engine,
 whose generator scheduler handles divergent barriers.
-
-Private (per-item) arrays execute as ``(n_items, size)`` matrices.  Their
-access counters are deliberately *not* folded into the stats — the scalar
-engines only collect statistics from pool buffers and group locals, and
-item-environment buffers never reach either.
 """
 
 from __future__ import annotations
@@ -80,9 +78,9 @@ from repro.clc.types import AddressSpace, PointerType, VectorType
 from repro.errors import ExecutionError, LockstepBailout, LockstepHazard
 from repro.execution.builtins_impl import evaluate_builtin_lockstep
 from repro.execution.interpreter import ExecutionResult, ExecutionStats
-from repro.execution.memory import Buffer, LockstepBuffer, MemoryPool
+from repro.execution.memory import LockstepBuffer, MemoryPool
 from repro.execution.ndrange import NDRange
-from repro.execution.ops import CONSTANTS, collect_memory_stats, element_kind_of, eval_sizeof
+from repro.execution.ops import CONSTANTS, collect_memory_stats, eval_sizeof
 from repro.execution.values import VectorValue
 from repro.execution.vec_ops import (
     FLOAT_KIND,
@@ -140,62 +138,6 @@ VECTORIZER_STATS = VectorizerStats()
 # ---------------------------------------------------------------------------
 
 
-class _PrivateLanes:
-    """A per-work-item private array, one row per lane.
-
-    Mirrors the clamping of :class:`Buffer` but keeps no access statistics:
-    the scalar engines never fold item-environment buffers into
-    ``ExecutionStats`` either.
-    """
-
-    __slots__ = ("size", "is_float", "data")
-
-    def __init__(self, n: int, size: int, element_kind: str):
-        self.size = max(size, 1)
-        self.is_float = element_kind in _FLOAT_TYPE_KINDS
-        dtype = np.float64 if self.is_float else np.int64
-        self.data = np.zeros((n, self.size), dtype=dtype)
-
-    def reset_rows(self, mask) -> None:
-        if mask is None:
-            self.data[:] = 0
-        else:
-            self.data[mask] = 0
-
-    def _cells(self, index_data, mask, lane_ids):
-        rows = lane_ids if mask is None else lane_ids[mask]
-        if np.ndim(index_data) == 0:
-            cols = np.full(rows.size, int(index_data), dtype=np.int64)
-        else:
-            cols = index_data if mask is None else index_data[mask]
-        return rows, np.clip(cols, 0, self.size - 1)
-
-    def load(self, index_data, mask, n: int, lane_ids):
-        kind = FLOAT_KIND if self.is_float else INT_KIND
-        rows, cols = self._cells(index_data, mask, lane_ids)
-        if mask is None:
-            return (kind, self.data[rows, cols])
-        out = np.zeros(n, dtype=self.data.dtype)
-        out[mask] = self.data[rows, cols]
-        return (kind, out)
-
-    def store(self, index_data, value_data, mask, n: int, lane_ids) -> None:
-        rows, cols = self._cells(index_data, mask, lane_ids)
-        try:
-            if mask is None:
-                self.data[rows, cols] = value_data
-            else:
-                self.data[rows, cols] = (
-                    value_data[mask] if np.ndim(value_data) else value_data
-                )
-        except OverflowError as error:
-            # Uniform Python ints beyond int64 need arbitrary precision.
-            raise LockstepBailout("stored value exceeds int64") from error
-
-
-_POINTERISH = (LockstepBuffer, _PrivateLanes)
-
-
 class _PartialBinding:
     """A variable bound on only some lanes (declared in a divergent branch).
 
@@ -212,68 +154,15 @@ class _PartialBinding:
         self.bound = bound  # bool ndarray
 
 
-class _Holder:
-    """Accumulates lanes leaving a loop/switch via break or continue."""
-
-    __slots__ = ("m",)
-
-    def __init__(self):
-        self.m = False
-
-    def add(self, mask) -> None:
-        self.m = mask_or(self.m, mask)
-
-    def take(self):
-        taken = self.m
-        self.m = False
-        return taken
-
-
-class _ReturnFrame:
-    """Collects per-lane return masks and values for one function body."""
-
-    __slots__ = ("mask", "none_mask", "value", "n")
-
-    def __init__(self, n: int):
-        self.mask = False
-        self.none_mask = False
-        self.value = None
-        self.n = n
-
-    def add(self, mask, value) -> None:
-        self.mask = mask_or(self.mask, mask)
-        if value is None:
-            self.none_mask = mask_or(self.none_mask, mask)
-            return
-        if self.value is None:
-            self.value = value
-            return
-        if isinstance(value, _POINTERISH) or isinstance(self.value, _POINTERISH):
-            if value is not self.value:
-                raise LockstepBailout("divergent pointer return values")
-            return
-        self.value = merge(mask, value, self.value, self.n)
-
-    def resolve(self, call_mask, result_used: bool):
-        if not result_used:
-            return (INT_KIND, 0)
-        if self.mask is False or self.none_mask is not False:
-            raise LockstepBailout("helper return value is None on some lanes")
-        if mask_any(mask_minus(call_mask, self.mask)):
-            raise LockstepBailout("helper fell off the end on some lanes")
-        return self.value
-
-
 class _Ctx:
     """Per-execution lockstep state shared by all compiled closures."""
 
     __slots__ = (
-        "n", "lane_ids", "steps", "steps_flat", "extra_steps", "extra_ops",
-        "max_steps", "stats", "env", "globals_env", "gids", "lids", "grpids",
+        "n", "lane_ids", "steps", "steps_flat", "extra_ops",
+        "max_steps", "stats", "env", "gids", "lids", "grpids",
         "group_of", "groups_with_lanes", "n_groups", "chunk_groups", "global_size",
         "local_size", "num_groups", "work_dim", "branch_sites",
-        "return_stack", "break_stack", "cont_stack", "finished",
-        "buffer_views", "group_locals",
+        "break_stack", "finished", "buffer_views",
     )
 
     def __init__(self, n: int, max_steps: int, stats: ExecutionStats):
@@ -281,12 +170,10 @@ class _Ctx:
         self.lane_ids = np.arange(n, dtype=np.int64)
         self.steps = None  # lazily allocated per-lane step counters
         self.steps_flat = 0  # bumps applied to every lane (full-mask path)
-        self.extra_steps = 0  # global-initializer steps (not on any lane's budget)
         self.extra_ops = 0  # statement-barrier bookkeeping ops (mirror rt.extra_ops)
         self.max_steps = max_steps
         self.stats = stats
         self.env: dict = {}
-        self.globals_env: dict = {}
         self.gids: list = []
         self.lids: list = []
         self.grpids: list = []
@@ -301,16 +188,13 @@ class _Ctx:
         self.num_groups = ()
         self.work_dim = 1
         self.branch_sites: dict = {}
-        self.return_stack: list = []
+        #: One mask per enclosing ``for`` loop: the lanes that broke out.
         self.break_stack: list = []
-        self.cont_stack: list = []
-        #: Lanes that finished outside the return frame (top-level break).
+        #: Lanes that left the kernel body: by ``return``, or by a ``break``
+        #: outside any loop (the scalar engines end the item).
         self.finished = False
-        #: Every live LockstepBuffer view — barrier epoch resets walk this.
+        #: Every LockstepBuffer view — barrier epoch resets walk this.
         self.buffer_views: list = []
-        #: name -> (Buffer, LockstepBuffer) for __local declarations of the
-        #: current group (mirrors the scalar engines' per-group group_locals).
-        self.group_locals: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -361,16 +245,9 @@ class _Ctx:
             ).astype(bool)
 
 
-def _first_lane_mask(mask, n: int) -> np.ndarray:
-    """A mask selecting only the first active lane of *mask*."""
-    first = np.zeros(n, dtype=bool)
-    first[0 if mask is None else int(np.argmax(mask))] = True
-    return first
-
-
 def _truthy_of(value):
     """C truthiness of any lockstep runtime value (pointers are truthy)."""
-    if isinstance(value, _POINTERISH):
+    if isinstance(value, LockstepBuffer):
         return True
     kind, data = value
     return truthy(kind, data)
@@ -382,12 +259,12 @@ def _binary_values(op: str, left, right, mask):
         return binary(op, left, right, mask)
     if op in ("==", "!="):
         return (INT_KIND, 1 if (left is right) == (op == "==") else 0)
-    return left if isinstance(left, _POINTERISH) else right
+    return left if isinstance(left, LockstepBuffer) else right
 
 
 def _as_index_of(value, mask):
     """Mirror ops.as_index: pointers collapse to index 0."""
-    if isinstance(value, _POINTERISH):
+    if isinstance(value, LockstepBuffer):
         return 0
     kind, data = value
     return to_int_data(kind, data, mask)
@@ -461,30 +338,18 @@ class VectorizedKernel:
         #: buffer free of cross-lane hazards.
         self._track_hazards = specialization is None
         self._kernel = kernels[0] if kernel_name is None else unit.kernel(kernel_name)
-        self._functions = {f.name: f for f in unit.functions if f.body is not None}
+        self._functions = {f.name for f in unit.functions if f.body is not None}
         self._max_steps = max_steps_per_item
         self._site_count = 0
-        self._helper_impls: dict[str, tuple[tuple[str, ...], object]] = {}
-        self._helpers_in_progress: set[str] = set()
-        #: Static nesting depth of break/continue targets at the point being
-        #: compiled, within the current function body.  A break/continue
-        #: with no target in its own function unwinds *through the call* in
-        #: the scalar engines — unrepresentable in lockstep, so those
-        #: compile to bailouts (see _compile_break/_compile_continue).
-        self._break_depth = 0
-        self._continue_depth = 0
         #: Set after a dynamic bailout: the hazards that trigger one are a
         #: property of the kernel's access pattern far more than of the
         #: payload, so later executions skip straight to the closure engine
         #: instead of re-running the doomed lockstep pass.
         self._disabled = False
-        #: Kernels with barriers or __local memory are *group kernels*: a
-        #: chunk of their launch holds whole work-groups (set during
-        #: compilation when either construct is seen).
+        #: Kernels with a barrier or a __local pointer parameter are *group
+        #: kernels*: a chunk of their launch holds whole work-groups (set
+        #: during compilation when either construct is seen).
         self._needs_groups = False
-        #: A declared ``__local`` array is one buffer per group, so such a
-        #: kernel keeps one group per chunk.
-        self._declares_local = False
 
         #: (name, is_pointer) per kernel parameter, in order.
         self._param_plan = []
@@ -501,16 +366,8 @@ class VectorizedKernel:
                     raise NotVectorizable("vector-typed scalar parameter")
                 self._param_plan.append((parameter.name, False))
 
-        #: (name, initializer_fn | None) per global declaration, in order.
-        self._global_inits = []
-        for declaration in unit.globals:
-            declarator = declaration.declarator
-            if declarator is None:
-                continue
-            init_fn = None
-            if declarator.initializer is not None:
-                init_fn = self._compile_expression(declarator.initializer)
-            self._global_inits.append((declarator.name, init_fn))
+        if any(declaration.declarator is not None for declaration in unit.globals):
+            raise NotVectorizable("program-scope variable")
 
         self._body_fn = self._compile_statement(self._kernel.body)
         if specialization is not None and self._needs_groups:
@@ -585,7 +442,6 @@ class VectorizedKernel:
         if not self._needs_groups and cap is None:
             return [[0, int(group_of.size), n_groups]]
         limit = cap or n_groups
-        multi = not self._declares_local
         bounds = np.searchsorted(group_of, np.arange(n_groups + 1)).tolist()
         chunks: list = []
         extendable = False
@@ -594,7 +450,7 @@ class VectorizedKernel:
             if begin == end:
                 extendable = False
                 continue
-            joins = not self._needs_groups or (multi and end - begin == group_size)
+            joins = not self._needs_groups or end - begin == group_size
             if joins and extendable and chunks[-1][2] < limit:
                 chunks[-1][1] = end
                 chunks[-1][2] += 1
@@ -611,8 +467,6 @@ class VectorizedKernel:
         stats.work_groups = n_groups
         stats.work_items = n
 
-        globals_env, extra_steps = self._init_globals(stats)
-
         lockstep_buffers: dict[str, LockstepBuffer] = {}
         for name, buffer in pool.buffers.items():
             if buffer.address_space == "local" and not self._needs_groups:
@@ -620,7 +474,7 @@ class VectorizedKernel:
             lockstep_buffers[name] = LockstepBuffer(buffer, track_hazards=self._track_hazards)
         views = list(lockstep_buffers.values())
 
-        base_env: dict = dict(globals_env)
+        base_env: dict = {}
         for name, is_pointer in self._param_plan:
             if is_pointer:
                 view = lockstep_buffers.get(name)
@@ -639,8 +493,7 @@ class VectorizedKernel:
                     raise LockstepBailout(f"unsupported scalar argument type {type(value).__name__}")
 
         branch_sites: dict = {}
-        total_steps = extra_steps
-        group_locals: dict = {}
+        total_steps = 0
 
         # Chunks run in group order, each one lockstep pass that sees every
         # earlier chunk's writes; the pool is written only after the last.
@@ -656,7 +509,6 @@ class VectorizedKernel:
             ctx.n_groups = n_groups
             ctx.chunk_groups = groups
             ctx.branch_sites = branch_sites
-            ctx.globals_env = globals_env
             ctx.env = dict(base_env)
             ctx.gids = [column[begin:end] for column in gids]
             ctx.lids = [column[begin:end] for column in lids]
@@ -667,8 +519,7 @@ class VectorizedKernel:
             lane_group = ctx.group_of - ctx.group_of[0] if multi_group else None
             for view in views:
                 view.begin_chunk(lane_group, groups)
-            ctx.buffer_views = list(views)
-            ctx.return_stack.append(_ReturnFrame(count))
+            ctx.buffer_views = views
             try:
                 if self._body_fn is not None:
                     self._body_fn(ctx, None)
@@ -681,21 +532,14 @@ class VectorizedKernel:
             total_steps += ctx.steps_flat * count + ctx.extra_ops
             if ctx.steps is not None:
                 total_steps += int(ctx.steps.sum())
-            group_locals = ctx.group_locals
 
         # Success: commit ndarray views and counters back into the pool
         # (every pool buffer has a view, so commit() replaces all stats).
-        # Declared __local arrays are counted for the last group only, as
-        # in the scalar engines.
         for view in views:
-            view.commit()
-        for buffer, view in group_locals.values():
             view.commit()
 
         stats.dynamic_operations = total_steps
-        collect_memory_stats(
-            stats, pool, {name: buffer for name, (buffer, _) in group_locals.items()}
-        )
+        collect_memory_stats(stats, pool, {})
         stats.branch_sites = sum(
             int((seen_true | seen_false).sum())
             for seen_true, seen_false in branch_sites.values()
@@ -706,65 +550,24 @@ class VectorizedKernel:
         )
         return ExecutionResult(kernel_name=self._kernel.name, pool=pool, stats=stats)
 
-    def _init_globals(self, stats: ExecutionStats) -> tuple[dict, int]:
-        """Globals re-initialise per execution, like the scalar engines.
-
-        Each initializer is evaluated once (not per lane) in a one-lane
-        sub-context whose steps feed ``dynamic_operations`` but no lane's
-        budget — mirroring the interpreter's dummy work-item.
-        """
-        globals_env: dict = {}
-        extra_steps = 0
-        for name, init_fn in self._global_inits:
-            value = (INT_KIND, 0)
-            if init_fn is not None:
-                mini = _Ctx(1, self._max_steps, stats)
-                mini.gids = [np.zeros(1, dtype=np.int64)]
-                mini.lids = [np.zeros(1, dtype=np.int64)]
-                mini.grpids = [np.zeros(1, dtype=np.int64)]
-                mini.group_of = np.zeros(1, dtype=np.int64)
-                mini.n_groups = 1
-                mini.groups_with_lanes = np.ones(1, dtype=bool)
-                mini.global_size = (1,)
-                mini.local_size = (1,)
-                mini.num_groups = (1,)
-                mini.env = dict(globals_env)
-                mini.globals_env = globals_env
-                mini.return_stack.append(_ReturnFrame(1))
-                try:
-                    value = init_fn(mini, None)
-                except LockstepBailout:
-                    raise
-                except Exception:
-                    value = (INT_KIND, 0)
-                extra_steps += mini.steps_flat + (
-                    int(mini.steps.sum()) if mini.steps is not None else 0
-                )
-            if isinstance(value, _POINTERISH):
-                raise LockstepBailout("pointer-valued global initializer")
-            kind, data = value
-            if isinstance(data, np.ndarray):
-                data = data[0].item()
-            globals_env[name] = (kind, data)
-        return globals_env, extra_steps
-
     # ------------------------------------------------------------------
     # Statement compilation: each compiles to ``fn(ctx, mask) -> mask`` that
-    # returns the lanes still falling through (break/continue/return lanes
-    # are recorded in the enclosing frames).  ``None`` for empty statements.
-    # Callers never invoke a statement with an empty mask.
+    # returns the lanes still falling through (break lanes are recorded in
+    # the enclosing loop's ``ctx.break_stack`` entry, finished lanes in
+    # ``ctx.finished``).  ``None`` for empty statements.  Callers never
+    # invoke a statement with an empty mask.
     # ------------------------------------------------------------------
 
-    def _compile_statement(self, statement, in_helper: bool = False):
+    def _compile_statement(self, statement):
         if statement is None or isinstance(statement, ast.EmptyStmt):
             return None
         handler = _STATEMENT_COMPILERS.get(type(statement))
         if handler is None:
             raise NotVectorizable(f"statement {type(statement).__name__}")
-        return handler(self, statement, in_helper)
+        return handler(self, statement)
 
-    def _compile_compound(self, statement: ast.CompoundStmt, in_helper: bool):
-        children = [self._compile_statement(child, in_helper) for child in statement.statements]
+    def _compile_compound(self, statement: ast.CompoundStmt):
+        children = [self._compile_statement(child) for child in statement.statements]
         children = [fn for fn in children if fn is not None]
 
         def run(ctx, mask):
@@ -777,7 +580,7 @@ class VectorizedKernel:
 
         return run
 
-    def _compile_decl(self, statement: ast.DeclStmt, in_helper: bool):
+    def _compile_decl(self, statement: ast.DeclStmt):
         actions = [self._compile_declarator(d) for d in statement.declarators]
 
         def run(ctx, mask):
@@ -796,40 +599,11 @@ class VectorizedKernel:
             and declared.address_space is AddressSpace.LOCAL
             and declarator.array_size is not None
         ):
-            return self._compile_local_declarator(declarator)
+            raise NotVectorizable("__local array declaration")
         if isinstance(declared, VectorType):
             raise NotVectorizable("vector-typed declaration")
-
         if declarator.array_size is not None:
-            kind, width = element_kind_of(declarator)
-            if width > 1:
-                raise NotVectorizable("vector-element private array")
-            size_fn = self._compile_expression(declarator.array_size)
-
-            def array_action(ctx, mask):
-                size_value = size_fn(ctx, mask)
-                size_data = _as_index_of(size_value, mask) if not isinstance(
-                    size_value, _POINTERISH
-                ) else 0
-                if isinstance(size_data, np.ndarray):
-                    active = size_data if mask is None else size_data[mask]
-                    if active.size and (active != active[0]).any():
-                        raise LockstepBailout("lane-divergent private array size")
-                    size = int(active[0]) if active.size else 0
-                else:
-                    size = int(size_data)
-                existing = ctx.env.get(name)
-                if mask is None:
-                    ctx.env[name] = _PrivateLanes(ctx.n, size, kind)
-                elif (
-                    isinstance(existing, _PrivateLanes)
-                    and existing.size == max(size, 1)
-                ):
-                    existing.reset_rows(mask)
-                else:
-                    raise LockstepBailout("divergent private-array declaration")
-
-            return array_action
+            raise NotVectorizable("private array")
 
         init_fn = (
             self._compile_expression(declarator.initializer)
@@ -845,58 +619,7 @@ class VectorizedKernel:
 
         return scalar_action
 
-    def _compile_local_declarator(self, declarator: ast.Declarator):
-        """A ``__local`` declaration: one group-shared buffer per group.
-
-        Mirrors the scalar engines' ``group_locals``: the buffer is created
-        by the *first* work-item to execute the declaration in each group
-        (only that lane pays the size-expression steps), and every item
-        binds the shared buffer into its environment.
-        """
-        self._needs_groups = True
-        self._declares_local = True
-        kind, width = element_kind_of(declarator)
-        if width > 1:
-            raise NotVectorizable("vector-element __local array")
-        name = declarator.name
-        size_fn = (
-            self._compile_expression(declarator.array_size)
-            if declarator.array_size is not None
-            else None
-        )
-
-        def local_action(ctx, mask):
-            entry = ctx.group_locals.get(name)
-            if entry is None:
-                size = 64
-                if size_fn is not None:
-                    first = _first_lane_mask(mask, ctx.n)
-                    value = size_fn(ctx, first)
-                    if isinstance(value, _POINTERISH):
-                        raise LockstepBailout("pointer-sized __local array")
-                    data = value[1]
-                    if isinstance(data, np.ndarray):
-                        data = data[int(np.argmax(first))].item()
-                    size = int(data or 64)
-                buffer = Buffer(name, max(size, 1), kind, width, address_space="local")
-                view = LockstepBuffer(buffer)
-                ctx.group_locals[name] = (buffer, view)
-                ctx.buffer_views.append(view)
-            else:
-                view = entry[1]
-            existing = ctx.env.get(name)
-            if existing is view:
-                return
-            if mask is None or existing is None:
-                # Unbound lanes resolve through group_locals in the scalar
-                # engines, so binding the shared view for every lane is exact.
-                ctx.env[name] = view
-            else:
-                raise LockstepBailout("divergent __local rebinding")
-
-        return local_action
-
-    def _compile_expr_stmt(self, statement: ast.ExprStmt, in_helper: bool):
+    def _compile_expr_stmt(self, statement: ast.ExprStmt):
         expression = statement.expression
         if expression is None:
 
@@ -907,16 +630,6 @@ class VectorizedKernel:
             return run_empty
 
         if isinstance(expression, ast.Call) and expression.callee in SYNC_FUNCTIONS:
-            if in_helper:
-                # The scalar engines drain helper generators, so a barrier in
-                # a helper degrades to two step bumps with no synchronisation.
-                def run_helper_barrier(ctx, mask):
-                    ctx.bump(mask)
-                    ctx.extra_ops += mask_count(mask, ctx.n)
-                    return mask
-
-                return run_helper_barrier
-
             self._needs_groups = True
 
             def run_barrier(ctx, mask):
@@ -925,7 +638,7 @@ class VectorizedKernel:
                 # Every live lane of the chunk must reach this barrier: the
                 # generator scheduler can pair lanes waiting at *different*
                 # barriers, which one lockstep pass cannot reproduce.
-                live = mask_minus(None, mask_or(ctx.return_stack[0].mask, ctx.finished))
+                live = mask_minus(None, ctx.finished)
                 if mask_minus(live, mask) is not False:
                     raise LockstepBailout("divergent work-group barrier")
                 # The scalar engines count a barrier once per group that
@@ -950,11 +663,11 @@ class VectorizedKernel:
 
         return run
 
-    def _compile_if(self, statement: ast.IfStmt, in_helper: bool):
+    def _compile_if(self, statement: ast.IfStmt):
         condition_fn = self._compile_expression(statement.condition)
-        then_fn = self._compile_statement(statement.then_branch, in_helper)
+        then_fn = self._compile_statement(statement.then_branch)
         has_else = statement.else_branch is not None
-        else_fn = self._compile_statement(statement.else_branch, in_helper)
+        else_fn = self._compile_statement(statement.else_branch)
         site = self._site_count
         self._site_count += 1
 
@@ -978,8 +691,8 @@ class VectorizedKernel:
 
         return run
 
-    def _compile_for(self, statement: ast.ForStmt, in_helper: bool):
-        init_fn = self._compile_statement(statement.init, in_helper)
+    def _compile_for(self, statement: ast.ForStmt):
+        init_fn = self._compile_statement(statement.init)
         condition_fn = (
             self._compile_expression(statement.condition)
             if statement.condition is not None
@@ -990,202 +703,54 @@ class VectorizedKernel:
             if statement.increment is not None
             else None
         )
-        self._break_depth += 1
-        self._continue_depth += 1
-        body_fn = self._compile_statement(statement.body, in_helper)
-        self._break_depth -= 1
-        self._continue_depth -= 1
+        body_fn = self._compile_statement(statement.body)
 
         def run(ctx, mask):
             ctx.bump(mask)
             live = init_fn(ctx, mask) if init_fn is not None else mask
-            break_holder = _Holder()
-            continue_holder = _Holder()
-            ctx.break_stack.append(break_holder)
-            ctx.cont_stack.append(continue_holder)
-            try:
-                exited = False
-                while mask_any(live):
-                    ctx.check_budget()
-                    if condition_fn is not None:
-                        outcome = _truthy_of(condition_fn(ctx, live))
-                        ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                        exited = mask_or(exited, mask_andnot(live, outcome))
-                        live = mask_and(live, outcome)
-                        if not mask_any(live):
-                            break
-                    if body_fn is not None:
-                        live = body_fn(ctx, live)
-                    live = mask_or(live, continue_holder.take())
-                    if increment_fn is not None and mask_any(live):
-                        increment_fn(ctx, live)
-                return mask_or(exited, break_holder.take())
-            finally:
-                ctx.break_stack.pop()
-                ctx.cont_stack.pop()
-
-        return run
-
-    def _compile_while(self, statement: ast.WhileStmt, in_helper: bool):
-        condition_fn = self._compile_expression(statement.condition)
-        self._break_depth += 1
-        self._continue_depth += 1
-        body_fn = self._compile_statement(statement.body, in_helper)
-        self._break_depth -= 1
-        self._continue_depth -= 1
-
-        def run(ctx, mask):
-            ctx.bump(mask)
-            break_holder = _Holder()
-            continue_holder = _Holder()
-            ctx.break_stack.append(break_holder)
-            ctx.cont_stack.append(continue_holder)
-            try:
-                live = mask
-                exited = False
-                while mask_any(live):
-                    ctx.check_budget()
+            # A bailout discards ctx, so the stack needs no unwinding.
+            ctx.break_stack.append(False)
+            exited = False
+            while mask_any(live):
+                ctx.check_budget()
+                if condition_fn is not None:
                     outcome = _truthy_of(condition_fn(ctx, live))
                     ctx.stats.branch_evaluations += mask_count(live, ctx.n)
                     exited = mask_or(exited, mask_andnot(live, outcome))
                     live = mask_and(live, outcome)
                     if not mask_any(live):
                         break
-                    if body_fn is not None:
-                        live = body_fn(ctx, live)
-                    live = mask_or(live, continue_holder.take())
-                return mask_or(exited, break_holder.take())
-            finally:
-                ctx.break_stack.pop()
-                ctx.cont_stack.pop()
+                if body_fn is not None:
+                    live = body_fn(ctx, live)
+                if increment_fn is not None and mask_any(live):
+                    increment_fn(ctx, live)
+            return mask_or(exited, ctx.break_stack.pop())
 
         return run
 
-    def _compile_do_while(self, statement: ast.DoWhileStmt, in_helper: bool):
-        condition_fn = self._compile_expression(statement.condition)
-        self._break_depth += 1
-        self._continue_depth += 1
-        body_fn = self._compile_statement(statement.body, in_helper)
-        self._break_depth -= 1
-        self._continue_depth -= 1
-
-        def run(ctx, mask):
-            ctx.bump(mask)
-            break_holder = _Holder()
-            continue_holder = _Holder()
-            ctx.break_stack.append(break_holder)
-            ctx.cont_stack.append(continue_holder)
-            try:
-                live = mask
-                exited = False
-                while mask_any(live):
-                    ctx.check_budget()
-                    if body_fn is not None:
-                        live = body_fn(ctx, live)
-                    live = mask_or(live, continue_holder.take())
-                    if not mask_any(live):
-                        break
-                    outcome = _truthy_of(condition_fn(ctx, live))
-                    ctx.stats.branch_evaluations += mask_count(live, ctx.n)
-                    exited = mask_or(exited, mask_andnot(live, outcome))
-                    live = mask_and(live, outcome)
-                return mask_or(exited, break_holder.take())
-            finally:
-                ctx.break_stack.pop()
-                ctx.cont_stack.pop()
-
-        return run
-
-    def _compile_switch(self, statement: ast.SwitchStmt, in_helper: bool):
-        condition_fn = self._compile_expression(statement.condition)
-        cases = []
-        self._break_depth += 1
-        for case in statement.cases:
-            value_fn = self._compile_expression(case.value) if case.value is not None else None
-            children = [self._compile_statement(child, in_helper) for child in case.body]
-            cases.append((value_fn, [fn for fn in children if fn is not None]))
-        self._break_depth -= 1
-
-        def run(ctx, mask):
-            ctx.bump(mask)
-            value = condition_fn(ctx, mask)
-            break_holder = _Holder()
-            ctx.break_stack.append(break_holder)
-            try:
-                pending = mask  # lanes not yet matched
-                flowing = False  # lanes executing case bodies (fallthrough)
-                for value_fn, children in cases:
-                    if value_fn is None:
-                        matched = pending
-                        pending = False
-                    elif mask_any(pending):
-                        case_value = value_fn(ctx, pending)
-                        equal = _binary_values("==", value, case_value, pending)
-                        outcome = _truthy_of(equal)
-                        matched = mask_and(pending, outcome)
-                        pending = mask_andnot(pending, outcome)
-                    else:
-                        matched = False
-                    flowing = mask_or(flowing, matched)
-                    for fn in children:
-                        if not mask_any(flowing):
-                            break
-                        flowing = fn(ctx, flowing)
-                survivors = mask_or(flowing, pending)
-                return mask_or(survivors, break_holder.take())
-            finally:
-                ctx.break_stack.pop()
-
-        return run
-
-    def _compile_return(self, statement: ast.ReturnStmt, in_helper: bool):
+    def _compile_return(self, statement: ast.ReturnStmt):
+        # Only the kernel body runs, so a returned value is evaluated (for
+        # its steps and side effects) and dropped, as the scalar engines do.
         value_fn = (
             self._compile_expression(statement.value) if statement.value is not None else None
         )
 
         def run(ctx, mask):
             ctx.bump(mask)
-            value = value_fn(ctx, mask) if value_fn is not None else None
-            ctx.return_stack[-1].add(mask, value)
+            if value_fn is not None:
+                value_fn(ctx, mask)
+            ctx.finished = mask_or(ctx.finished, mask)
             return False
 
         return run
 
-    def _compile_break(self, statement: ast.BreakStmt, in_helper: bool):
-        if in_helper and self._break_depth == 0:
-            # The scalar engines let the BreakSignal unwind *through the
-            # call* into the caller's loop — mid-expression control flow one
-            # lockstep pass cannot reproduce.
-            def run_escaping(ctx, mask):
-                ctx.bump(mask)
-                raise LockstepBailout("break unwinding out of a helper call")
-
-            return run_escaping
-
+    def _compile_break(self, statement: ast.BreakStmt):
         def run(ctx, mask):
             ctx.bump(mask)
             if ctx.break_stack:
-                ctx.break_stack[-1].add(mask)
+                ctx.break_stack[-1] = mask_or(ctx.break_stack[-1], mask)
             else:
-                # No enclosing loop/switch: the scalar engines end the item.
-                ctx.finished = mask_or(ctx.finished, mask)
-            return False
-
-        return run
-
-    def _compile_continue(self, statement: ast.ContinueStmt, in_helper: bool):
-        if in_helper and self._continue_depth == 0:
-            def run_escaping(ctx, mask):
-                ctx.bump(mask)
-                raise LockstepBailout("continue unwinding out of a helper call")
-
-            return run_escaping
-
-        def run(ctx, mask):
-            ctx.bump(mask)
-            if ctx.cont_stack:
-                ctx.cont_stack[-1].add(mask)
-            else:
+                # No enclosing loop: the scalar engines end the item.
                 ctx.finished = mask_or(ctx.finished, mask)
             return False
 
@@ -1329,7 +894,7 @@ class VectorizedKernel:
             def fn_deref(ctx, mask):
                 ctx.bump(mask)
                 pointer = operand_fn(ctx, mask)
-                if isinstance(pointer, _POINTERISH):
+                if isinstance(pointer, LockstepBuffer):
                     return pointer.load(0, mask, ctx.n, ctx.lane_ids)
                 return pointer
 
@@ -1340,7 +905,7 @@ class VectorizedKernel:
             def fn_neg(ctx, mask):
                 ctx.bump(mask)
                 operand = operand_fn(ctx, mask)
-                if isinstance(operand, _POINTERISH):
+                if isinstance(operand, LockstepBuffer):
                     return operand
                 return negate(operand, mask)
 
@@ -1359,7 +924,7 @@ class VectorizedKernel:
             def fn_not(ctx, mask):
                 ctx.bump(mask)
                 operand = operand_fn(ctx, mask)
-                if isinstance(operand, _POINTERISH):
+                if isinstance(operand, LockstepBuffer):
                     return (INT_KIND, 0)
                 return logical_not(operand)
 
@@ -1370,7 +935,7 @@ class VectorizedKernel:
             def fn_invert(ctx, mask):
                 ctx.bump(mask)
                 operand = operand_fn(ctx, mask)
-                if isinstance(operand, _POINTERISH):
+                if isinstance(operand, LockstepBuffer):
                     raise LockstepBailout("bitwise-not of a pointer")
                 return invert(operand, mask)
 
@@ -1437,7 +1002,7 @@ class VectorizedKernel:
                 return true_fn(ctx, true_mask)
             when_true = true_fn(ctx, true_mask)
             when_false = false_fn(ctx, false_mask)
-            if isinstance(when_true, _POINTERISH) or isinstance(when_false, _POINTERISH):
+            if isinstance(when_true, LockstepBuffer) or isinstance(when_false, LockstepBuffer):
                 if when_true is when_false:
                     return when_true
                 raise LockstepBailout("divergent pointer-valued ternary")
@@ -1453,7 +1018,7 @@ class VectorizedKernel:
             ctx.bump(mask)
             base = base_fn(ctx, mask)
             index = index_fn(ctx, mask)
-            if isinstance(base, _POINTERISH):
+            if isinstance(base, LockstepBuffer):
                 return base.load(_as_index_of(index, mask), mask, ctx.n, ctx.lane_ids)
             # Indexing a scalar value yields 0 in the scalar engines.
             return (INT_KIND, 0)
@@ -1472,7 +1037,7 @@ class VectorizedKernel:
             def fn_scalar(ctx, mask):
                 ctx.bump(mask)
                 value = operand_fn(ctx, mask)
-                if isinstance(value, _POINTERISH):
+                if isinstance(value, LockstepBuffer):
                     return value
                 return convert(kind, value, mask)
 
@@ -1510,11 +1075,10 @@ class VectorizedKernel:
             return self._compile_atomic(name, expression, result_used)
         if name.startswith(("vload", "vstore")):
             raise NotVectorizable("vector load/store")
+        if name in self._functions:
+            raise NotVectorizable("call to a user function")
 
         argument_fns = [self._compile_expression(a) for a in expression.arguments]
-
-        if name in self._functions:
-            return self._compile_user_call(name, argument_fns, result_used)
 
         def fn_builtin(ctx, mask):
             ctx.bump(mask)
@@ -1522,13 +1086,8 @@ class VectorizedKernel:
             for argument_fn in argument_fns:
                 value = argument_fn(ctx, mask)
                 # Mirror builtins_impl._scalarize: a pointer argument
-                # collapses to its first element (per lane for private arrays).
-                if isinstance(value, _PrivateLanes):
-                    value = (
-                        FLOAT_KIND if value.is_float else INT_KIND,
-                        value.data[:, 0].copy(),
-                    )
-                elif isinstance(value, LockstepBuffer):
+                # collapses to its first element.
+                if isinstance(value, LockstepBuffer):
                     scalar = value.first_element(mask, ctx.lane_ids)
                     value = (
                         FLOAT_KIND if isinstance(scalar, float) else INT_KIND,
@@ -1631,18 +1190,16 @@ class VectorizedKernel:
             if base_fn is not None:
                 base = base_fn(ctx, mask)
                 index = index_fn(ctx, mask)
-                if isinstance(base, _POINTERISH):
+                if isinstance(base, LockstepBuffer):
                     target = base
             elif identifier_name is not None:
                 value = ctx.env.get(identifier_name)
-                if isinstance(value, _POINTERISH):
+                if isinstance(value, LockstepBuffer):
                     target = value
             operand = operand_fn(ctx, mask) if operand_fn is not None else (INT_KIND, 1)
             if target is None:
                 return (INT_KIND, 0)
-            if isinstance(target, _PrivateLanes):
-                raise LockstepBailout("atomic on a private array")
-            if isinstance(operand, _POINTERISH):
+            if isinstance(operand, LockstepBuffer):
                 raise LockstepBailout("pointer operand to an atomic")
             target.atomic_update(
                 operation, _as_index_of(index, mask), operand, mask, ctx.n, ctx.lane_ids
@@ -1650,50 +1207,6 @@ class VectorizedKernel:
             return (INT_KIND, 0)
 
         return fn
-
-    def _compile_user_call(self, name: str, argument_fns: list, result_used: bool):
-        self._ensure_helper_compiled(name)
-        impls = self._helper_impls
-
-        def fn(ctx, mask):
-            ctx.bump(mask)
-            arguments = [argument_fn(ctx, mask) for argument_fn in argument_fns]
-            ctx.stats.helper_calls += mask_count(mask, ctx.n)
-            parameter_names, body_fn = impls[name]
-            saved_env = ctx.env
-            call_env = dict(ctx.globals_env)
-            for parameter_name, argument in zip(parameter_names, arguments):
-                call_env[parameter_name] = argument
-            ctx.env = call_env
-            frame = _ReturnFrame(ctx.n)
-            ctx.return_stack.append(frame)
-            try:
-                if body_fn is not None:
-                    body_fn(ctx, mask)
-            finally:
-                ctx.env = saved_env
-                ctx.return_stack.pop()
-            return frame.resolve(mask, result_used)
-
-        return fn
-
-    def _ensure_helper_compiled(self, name: str) -> None:
-        if name in self._helper_impls:
-            return
-        if name in self._helpers_in_progress:
-            raise NotVectorizable("recursive helper function")
-        self._helpers_in_progress.add(name)
-        saved_depths = (self._break_depth, self._continue_depth)
-        self._break_depth = 0
-        self._continue_depth = 0
-        try:
-            function = self._functions[name]
-            parameter_names = tuple(p.name for p in function.parameters)
-            body_fn = self._compile_statement(function.body, in_helper=True)
-            self._helper_impls[name] = (parameter_names, body_fn)
-        finally:
-            self._break_depth, self._continue_depth = saved_depths
-            self._helpers_in_progress.discard(name)
 
     # ------------------------------------------------------------------
     # L-value stores: ``fn(ctx, mask, value)``.
@@ -1715,7 +1228,7 @@ class VectorizedKernel:
             def store_index(ctx, mask, value):
                 base = base_fn(ctx, mask)
                 index = index_fn(ctx, mask)
-                if isinstance(base, _POINTERISH):
+                if isinstance(base, LockstepBuffer):
                     _store_to_pointer(ctx, base, _as_index_of(index, mask), value, mask)
                 # Stores through scalar bases are dropped, like the engines.
 
@@ -1726,7 +1239,7 @@ class VectorizedKernel:
 
             def store_deref(ctx, mask, value):
                 pointer = pointer_fn(ctx, mask)
-                if isinstance(pointer, _POINTERISH):
+                if isinstance(pointer, LockstepBuffer):
                     _store_to_pointer(ctx, pointer, 0, value, mask)
 
             return store_deref
@@ -1772,7 +1285,7 @@ def _resolve_partial(ctx, binding: _PartialBinding, fallback, mask):
 def _store_into_env(ctx, name: str, value, mask) -> None:
     """Masked assignment with the slot-flavour rules of store_to_identifier."""
     existing = ctx.env.get(name, _MISSING)
-    if isinstance(value, _POINTERISH):
+    if isinstance(value, LockstepBuffer):
         if existing is value:
             return
         if mask is None:
@@ -1808,7 +1321,7 @@ def _store_into_env(ctx, name: str, value, mask) -> None:
         else:
             ctx.env[name] = _PartialBinding(merged, bound)
         return
-    # Existing is a pointer/array object: raw rebinding, full mask only.
+    # Existing is a pointer: raw rebinding, full mask only.
     if mask is None:
         ctx.env[name] = value
     else:
@@ -1820,7 +1333,7 @@ def _declare_into_env(ctx, name: str, value, mask) -> None:
     if mask is None:
         ctx.env[name] = value
         return
-    if isinstance(value, _POINTERISH):
+    if isinstance(value, LockstepBuffer):
         if ctx.env.get(name) is value:
             return
         raise LockstepBailout("divergent pointer declaration")
@@ -1847,17 +1360,10 @@ def _declare_into_env(ctx, name: str, value, mask) -> None:
 
 def _store_to_pointer(ctx, target, index_data, value, mask) -> None:
     """Coerce *value* to the target's element flavour and scatter."""
-    if isinstance(value, _POINTERISH):
-        # Buffer._coerce stores the first element of a pointer value; for a
-        # private array that is each lane's own element 0.
-        if isinstance(value, _PrivateLanes):
-            value = (
-                FLOAT_KIND if value.is_float else INT_KIND,
-                value.data[:, 0].copy(),
-            )
-        else:
-            scalar = value.first_element(mask, ctx.lane_ids)
-            value = (FLOAT_KIND if isinstance(scalar, float) else INT_KIND, scalar)
+    if isinstance(value, LockstepBuffer):
+        # Buffer._coerce stores the first element of a pointer value.
+        scalar = value.first_element(mask, ctx.lane_ids)
+        value = (FLOAT_KIND if isinstance(scalar, float) else INT_KIND, scalar)
     kind, data = value
     coerced = (
         to_float_data(kind, data) if target.is_float else to_int_data(kind, data, mask)
@@ -1899,7 +1405,7 @@ def _compile_decl_coercion(declared):
     if text in _FLOAT_TYPE_KINDS:
 
         def coerce_float(value, mask):
-            if isinstance(value, _POINTERISH):
+            if isinstance(value, LockstepBuffer):
                 return value
             kind, data = value
             return (FLOAT_KIND, to_float_data(kind, data))
@@ -1909,7 +1415,7 @@ def _compile_decl_coercion(declared):
     if text in _INT_TYPE_KINDS:
 
         def coerce_int(value, mask):
-            if isinstance(value, _POINTERISH):
+            if isinstance(value, LockstepBuffer):
                 return value
             kind, data = value
             if kind == INT_KIND:
@@ -1927,12 +1433,8 @@ _STATEMENT_COMPILERS = {
     ast.ExprStmt: VectorizedKernel._compile_expr_stmt,
     ast.IfStmt: VectorizedKernel._compile_if,
     ast.ForStmt: VectorizedKernel._compile_for,
-    ast.WhileStmt: VectorizedKernel._compile_while,
-    ast.DoWhileStmt: VectorizedKernel._compile_do_while,
-    ast.SwitchStmt: VectorizedKernel._compile_switch,
     ast.ReturnStmt: VectorizedKernel._compile_return,
     ast.BreakStmt: VectorizedKernel._compile_break,
-    ast.ContinueStmt: VectorizedKernel._compile_continue,
 }
 
 _EXPRESSION_COMPILERS = {

@@ -133,8 +133,7 @@ class TestBailoutCauses:
             """
             kernel void k(global float* a, const int n) {
                 int gid = get_global_id(0);
-                int i = 0;
-                while (i < n) { a[gid] += 1.0f; }
+                for (int i = 0; i < n; ) { a[gid] += 1.0f; }
             }
             """
         )
@@ -188,7 +187,17 @@ class TestRejectionCauses:
                     out[gid] = spin(gid);
                 }
                 """,
-                "recursive helper function",
+                "call to a user function",
+            ),
+            (
+                """
+                kernel void k(global float* a, const int n) {
+                    int gid = get_global_id(0);
+                    int i = 0;
+                    while (i < n) { a[gid] += 1.0f; }
+                }
+                """,
+                "statement WhileStmt",
             ),
             (
                 """

@@ -2,10 +2,11 @@
 
 The three-way differential suite (test_execution_compiler.py) asserts
 bit-identity over the benchmark inventory; these tests pin down the tier's
-*mechanisms*: engine selection and caching, bailout purity (the memory pool
-must be untouched), cross-lane hazard detection, chunks of whole
-work-groups (barrier epochs, order between groups, ``__local`` slices),
-hazard replay in smaller chunks and order-independent atomics.
+*mechanisms*: engine selection and caching, the constructs it refuses and
+the measured kernels' floor on them, bailout purity (the memory pool must
+be untouched), cross-lane hazard detection, chunks of whole work-groups
+(barrier epochs, order between groups, ``__local`` slices), hazard replay
+in smaller chunks and order-independent atomics.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.execution import (
     try_vectorize,
     vectorized_kernel_for,
 )
+from repro.execution.vectorizer import lockstep_rejection
 from repro.preprocess.shim import shim_include_resolver, with_shim
 from repro.suites.registry import all_suites
 
@@ -109,13 +111,23 @@ def _spy_caps(vectorized):
     return caps
 
 
+def _shimmed_unit(source):
+    return compile_source(
+        with_shim(source), include_resolver=shim_include_resolver, strict=False,
+    ).unit
+
+
+def _suite_unit(benchmark):
+    """The benchmark's translation unit and kernel declaration."""
+    unit = _shimmed_unit(benchmark.source)
+    kernel = unit.kernel(benchmark.kernel_name) if benchmark.kernel_name else unit.kernels[0]
+    return unit, kernel
+
+
 def _suite_lockstep(benchmark):
     """The benchmark's kernel declaration and a fresh generic lockstep
     instance of it (``None`` when not vectorizable)."""
-    unit = compile_source(
-        with_shim(benchmark.source), include_resolver=shim_include_resolver, strict=False,
-    ).unit
-    kernel = unit.kernel(benchmark.kernel_name) if benchmark.kernel_name else unit.kernels[0]
+    unit, kernel = _suite_unit(benchmark)
     return kernel, try_vectorize(unit, kernel.name)
 
 
@@ -160,32 +172,124 @@ class TestEngineSelection:
             "  int i = get_global_id(0);\n"
             "  int acc = 0;\n"
             "  for (int k = 0; k < i; k++) {\n"
-            "    if (k % 3 == 0) { continue; }\n"
-            "    if (k > 12) { break; }\n"
+            "    if (k % 3 == 0) { acc += 2; } else if (k > 12) { break; }\n"
             "    acc += k;\n"
             "  }\n"
-            "  while (acc > 40) { acc -= 7; }\n"
+            "  if (acc > 40) { acc -= 7; }\n"
             "  a[i] = acc;\n}"
         )
+        buffers, scalars, ndrange = {"a": (24, None, "global")}, {"n": 24}, NDRange.linear(24, 8)
+        lockstep, reference = _lockstep_and_interpreter(source, buffers, scalars, ndrange)
+        assert lockstep == reference
+        _assert_all_equal(_run_all_engines(source, buffers, scalars, ndrange))
+
+
+#: One small kernel per construct the lockstep tier refuses, with the
+#: refusal's message.  Each writes ``a[gid]`` for a 32/16 launch.
+_REFUSED_CONSTRUCTS = {
+    "while": (
+        "__kernel void W(__global int* a) {\n"
+        "  int i = get_global_id(0); int acc = i * 5;\n"
+        "  while (acc > 40) { acc -= 7; }\n"
+        "  a[i] = acc;\n}",
+        "statement WhileStmt",
+    ),
+    "do": (
+        "__kernel void D(__global int* a) {\n"
+        "  int i = get_global_id(0); int acc = 0; int k = 0;\n"
+        "  do { acc += k; k++; } while (k < i % 5);\n"
+        "  a[i] = acc;\n}",
+        "statement DoWhileStmt",
+    ),
+    "switch": (
+        "__kernel void S(__global int* a) {\n"
+        "  int i = get_global_id(0);\n"
+        "  switch (i % 3) { case 0: a[i] = 7; break; case 1: a[i] = i + 1;\n"
+        "                   default: a[i] = a[i] - 1; }\n}",
+        "statement SwitchStmt",
+    ),
+    "continue": (
+        "__kernel void C(__global int* a) {\n"
+        "  int i = get_global_id(0); int acc = 0;\n"
+        "  for (int k = 0; k < i; k++) { if (k % 3 == 0) { continue; } acc += k; }\n"
+        "  a[i] = acc;\n}",
+        "statement ContinueStmt",
+    ),
+    "user-call": (
+        "int pick(int v) { if (v % 3 == 0) { return 7; } return v + 1; }\n"
+        "__kernel void U(__global int* a) {\n"
+        "  int i = get_global_id(0);\n"
+        "  a[i] = pick(i) + pick(i + 1);\n}",
+        "call to a user function",
+    ),
+    "private-array": (
+        "__kernel void P(__global int* a) {\n"
+        "  int i = get_global_id(0); int tmp[4];\n"
+        "  for (int k = 0; k < 4; k++) { tmp[k] = i * k; }\n"
+        "  a[i] = tmp[0] + tmp[1] + tmp[2] + tmp[3];\n}",
+        "private array",
+    ),
+    "local-array": (
+        "__kernel void L(__global int* a) {\n"
+        "  __local int stage[16];\n"
+        "  int lid = get_local_id(0);\n"
+        "  stage[lid] = lid * 2;\n"
+        "  barrier(CLK_LOCAL_MEM_FENCE);\n"
+        "  a[get_global_id(0)] = stage[(lid + 1) % 16];\n}",
+        "__local array declaration",
+    ),
+    "program-scope-variable": (
+        "int seen = 3;\n"
+        "__kernel void G(__global int* a) {\n"
+        "  int i = get_global_id(0);\n"
+        "  seen = seen + i;\n"
+        "  a[i] = seen;\n}",
+        "program-scope variable",
+    ),
+}
+
+
+class TestRefusedConstructs:
+    """The lockstep tier implements only the constructs the measured
+    kernels use; a kernel with any other runs on the closure engine."""
+
+    @pytest.mark.parametrize("construct", sorted(_REFUSED_CONSTRUCTS))
+    def test_refused_construct_runs_on_closure(self, construct):
+        source, message = _REFUSED_CONSTRUCTS[construct]
+        unit = parse(source)
+        assert lockstep_rejection(unit, None) == message
+        assert vectorized_kernel_for(unit) is None
         outputs = _run_all_engines(
-            source, {"a": (24, None, "global")}, {"n": 24}, NDRange.linear(24, 8)
+            source, {"a": (32, None, "global", "int")}, {}, NDRange.linear(32, 16)
         )
         _assert_all_equal(outputs)
 
-    def test_helpers_switch_and_private_arrays_match(self):
-        source = (
-            "int pick(int v) { switch (v % 3) { case 0: return 7; case 1: return v + 1;\n"
-            "                  default: return v - 1; } }\n"
-            "__kernel void S(__global int* a, const int n) {\n"
-            "  int i = get_global_id(0);\n"
-            "  int tmp[4];\n"
-            "  for (int k = 0; k < 4; k++) { tmp[k] = pick(i + k); }\n"
-            "  a[i] = tmp[0] + tmp[1] + tmp[2] + tmp[3];\n}"
-        )
-        outputs = _run_all_engines(
-            source, {"a": (12, None, "global")}, {"n": 12}, NDRange.linear(12, 4)
-        )
-        _assert_all_equal(outputs)
+    def test_measured_suite_kernels_stay_in_the_subset(self):
+        # Traffic floor: the measured kernels use none of the constructs
+        # above, so refusing them moves no measured work to the closure
+        # engine.  A workload that brings one in fails here, not unseen.
+        refusals = {}
+        for suite in all_suites():
+            for benchmark in suite.benchmarks:
+                unit, kernel = _suite_unit(benchmark)
+                refusals[benchmark.qualified_name] = lockstep_rejection(unit, kernel.name)
+        unexpected = {
+            name: reason for name, reason in refusals.items()
+            if reason not in (None, "vector-element pointer parameter")
+        }
+        assert unexpected == {}
+        assert len(refusals) == 71
+
+    def test_synthesized_kernels_stay_in_the_subset(self, clgen):
+        allowed = (None, "vector-element pointer parameter", "vector-typed declaration")
+        sources = clgen.generate_kernels(200, seed=0).sources
+        unexpected = {}
+        for source in sources:
+            reason = lockstep_rejection(_shimmed_unit(source), None)
+            if reason not in allowed:
+                unexpected[source] = reason
+        assert unexpected == {}
+        assert len(sources) > 100
 
 
 class TestBailouts:
@@ -276,20 +380,6 @@ class TestGroupChunks:
         buffers, stats = outputs[-1]
         assert buffers["out"] == [float(wg)] * (n // wg)
         assert stats["barriers_hit"] > 0
-
-    def test_local_declaration_matches_scalars(self):
-        source = (
-            "__kernel void L(__global float* out, const int n) {\n"
-            "  __local float stage[16];\n"
-            "  int lid = get_local_id(0);\n"
-            "  stage[lid] = (float)(lid * 2);\n"
-            "  barrier(CLK_LOCAL_MEM_FENCE);\n"
-            "  out[get_global_id(0)] = stage[(lid + 1) % 16];\n}"
-        )
-        outputs = _run_all_engines(
-            source, {"out": (32, None, "global")}, {"n": 32}, NDRange.linear(32, 16)
-        )
-        _assert_all_equal(outputs)
 
     def test_cross_group_global_read_after_barrier_replays_one_group_per_chunk(self):
         # Group g reads the cell group g + 1 writes before the barrier.
@@ -412,23 +502,18 @@ class TestReplay:
     def test_flat_kernel_hazard_between_groups_replays_and_completes(self):
         # Item gid + 16 reads the cell item gid wrote: a hazard between the
         # groups of a 64/16 launch, which completes one group per chunk.
-        # Each item starts from the program-scope variable's initial value.
         source = (
-            "int seen = 3;\n"
-            "__kernel void F(__global float* c, __global int* d) {\n"
+            "__kernel void F(__global float* c) {\n"
             "  int gid = get_global_id(0);\n"
-            "  seen = seen + gid;\n"
-            "  d[gid] = seen;\n"
             "  c[gid % 16] = c[gid % 16] + 1.0f;\n}"
         )
-        buffers = {"c": (16, None, "global"), "d": (64, None, "global", "int")}
+        buffers = {"c": (16, None, "global")}
         replays, (lockstep, reference) = _replays_during(
             _lockstep_and_interpreter, source, buffers, {}, NDRange.linear(64, 16)
         )
         assert lockstep == reference
         assert replays == 1
         assert reference[0]["c"] == [4.0] * 16
-        assert reference[0]["d"] == [3 + gid for gid in range(64)]
         _assert_all_equal(_run_all_engines(source, buffers, {}, NDRange.linear(64, 16)))
 
     def test_neighbour_chain_inside_a_group_still_falls_back(self):

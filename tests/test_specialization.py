@@ -100,19 +100,15 @@ class TestUniformControlBitIdentity:
         """
         _assert_specialized_matches_generic(source, global_size=global_size, seed=seed)
 
-    def test_uniform_for_and_switch(self):
-        # (A ``while`` variant would not be SAFE — the analyzer cannot bound
-        # its trip count — so it never gets a specialized instance.)
+    def test_uniform_for_and_if_chain(self):
         source = """
         __kernel void k(__global int* a, const int n) {
           int gid = get_global_id(0);
           int acc = a[gid];
           for (int i = 0; i < 5; i++) { acc = acc + i; }
-          switch (n % 3) {
-            case 0: acc = acc + 1; break;
-            case 1: acc = acc + 2; break;
-            default: acc = acc + 3; break;
-          }
+          if (n % 3 == 0) { acc = acc + 1; }
+          else if (n % 3 == 1) { acc = acc + 2; }
+          else { acc = acc + 3; }
           a[gid] = acc;
         }
         """
