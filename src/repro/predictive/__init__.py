@@ -13,7 +13,6 @@ from repro.predictive.metrics import (
     best_static_device,
     geometric_mean,
     mean_speedup,
-    oracle_speedup_over_static,
     performance_relative_to_oracle,
     speedup_over_static,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "group_by_benchmark",
     "leave_one_benchmark_out",
     "mean_speedup",
-    "oracle_speedup_over_static",
     "performance_relative_to_oracle",
     "speedup_over_static",
     "train_test_split_evaluation",

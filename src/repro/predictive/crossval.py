@@ -58,6 +58,13 @@ def leave_one_benchmark_out(
 ) -> CrossValidationResult:
     """Run leave-one-benchmark-out cross-validation.
 
+    Every fold trains on the same measurements less one program, so each
+    distinct measurement's feature vector and oracle label are extracted
+    once per call, by a model from *model_factory*
+    (:meth:`MappingModel.rows`).  Each fold then grows a fresh model's tree
+    on the rows of its training measurements and predicts from the rows of
+    the held-out program.
+
     Args:
         measurements_by_benchmark: Test observations grouped by program; every
             program is excluded from training in its own fold.
@@ -71,6 +78,12 @@ def leave_one_benchmark_out(
     """
     extra_training = extra_training or []
     result = CrossValidationResult(platform=platform)
+    # Keyed by identity: Figure 3's extra training repeats a measurement
+    # when it neighbours several outliers.
+    distinct = {id(m): m for group in measurements_by_benchmark.values() for m in group}
+    distinct.update((id(m), m) for m in extra_training)
+    features, labels = model_factory(platform).rows(list(distinct.values()))
+    rows = dict(zip(distinct, zip(features, labels)))
 
     benchmarks = sorted(measurements_by_benchmark)
     for held_out in benchmarks:
@@ -83,15 +96,17 @@ def leave_one_benchmark_out(
         if not training or not test_measurements:
             continue
 
-        model = model_factory(platform)
         # A training set with a single class still produces a usable
         # (constant) model; the decision tree handles that case natively.
-        model.fit(training)
+        training_rows = [rows[id(m)] for m in training]
+        tree = model_factory(platform).classifier.fit(
+            [row for row, _ in training_rows], [label for _, label in training_rows]
+        )
 
         fold_outcomes = [
             PredictionOutcome(
                 measurement=measurement,
-                predicted_device=model.predict(measurement),
+                predicted_device=tree.predict_one(rows[id(measurement)][0]),
                 platform=platform,
             )
             for measurement in test_measurements

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: How far below the running maximum of the earlier approximate gains a
+#: candidate's approximate gain must fall to be skipped (see ``_grow``).
+_PRUNE_MARGIN = 1e-9
+
 
 def _gini(class_counts: list[int], total: int) -> float:
     """Gini impurity of *total* samples with these per-class counts."""
@@ -77,18 +81,32 @@ class DecisionTreeClassifier:
         """Grow the subtree of the samples in *data* (labels as *one_hot* rows).
 
         A feature's candidate thresholds are the midpoints of its unique
-        values.  Each column is sorted once per node: a threshold's left
-        count is the number of sorted values ``<=`` it (``searchsorted``
-        with ``side="right"``, which equals the mask count even when a
-        midpoint rounds onto the upper value), and the per-class counts on
-        each side come from cumulative class counts in sorted order.  Gains
-        are Python floats computed from Python ints, so they are the same
-        bits as a per-threshold mask-and-count search would give.  Features
-        are scored in index order and thresholds ascending, and a split
-        replaces the best only if its gain is larger by more than 1e-12.
-        Gini sums its per-class terms in class order; for two classes (the
-        mapping labels, ``cpu`` and ``gpu``) that sum does not depend on
-        the order.
+        values.  Each column is sorted once per node, and the candidates of
+        all features are the places where neighbouring sorted values differ,
+        in scan order: features by index, thresholds ascending.  A
+        threshold's left count is the number of sorted values ``<=`` it
+        (``searchsorted`` with ``side="right"``, which equals the mask count
+        even when a midpoint rounds onto the upper value), and the
+        per-class counts on each side come from cumulative class counts in
+        sorted order.
+
+        The winner is the first candidate in scan order whose exact gain
+        beats the best so far by more than 1e-12.  Exact gains are Python
+        floats computed from Python ints, so they are the same bits as a
+        per-threshold mask-and-count search would give.  NumPy first scores
+        every candidate approximately (its ``x**2`` is ``x*x``, Python's is
+        ``pow``), within about 1e-15 of the exact gain, and a candidate
+        more than ``_PRUNE_MARGIN`` (1e-9) below the running maximum of the
+        earlier approximate gains (from 0.0) is never scored exactly.  That
+        is exact: the best only changes to a gain more than 1e-12 above it,
+        so after each candidate's turn the best is at least that
+        candidate's exact gain minus 1e-12 (and an ulp of rounding), and at
+        least 0.0.  A pruned candidate's exact gain is below an earlier
+        one's (or 0.0) by more than 1e-9 less twice the approximation
+        error, so at its turn it would not have beaten the best by 1e-12
+        either; skipping it changes no later comparison.  Gini sums its
+        per-class terms in class order; for two classes (the mapping
+        labels, ``cpu`` and ``gpu``) that sum does not depend on the order.
         """
         total = one_hot.shape[0]
         class_totals = one_hot.sum(axis=0)
@@ -119,29 +137,48 @@ class DecisionTreeClassifier:
         cumulative = np.zeros((total + 1, *sorted_labels.shape[1:]), dtype=np.int64)
         np.cumsum(sorted_labels, axis=0, out=cumulative[1:])
 
+        # Every candidate of every feature, in scan order: candidate j lies
+        # between sorted rows positions[j] and positions[j] + 1 of column
+        # features[j], whose values differ.
+        features, positions = np.nonzero((columns[1:] != columns[:-1]).T)
+        thresholds = (columns[positions, features] + columns[positions + 1, features]) / 2.0
+        left_counts = np.empty_like(positions)
+        starts = np.searchsorted(features, np.arange(data.shape[1] + 1)).tolist()
         for feature_index in range(data.shape[1]):
-            column = columns[:, feature_index]
-            candidates = np.unique(column)
-            if candidates.size < 2:
-                continue
-            thresholds = (candidates[:-1] + candidates[1:]) / 2.0
-            left_counts = np.searchsorted(column, thresholds, side="right")
-            allowed = (left_counts >= min_leaf) & (total - left_counts >= min_leaf)
-            left_counts = left_counts[allowed]
-            left_classes = cumulative[left_counts, feature_index]
-            for threshold, left, left_k, right_k in zip(
-                thresholds[allowed].tolist(),
-                left_counts.tolist(),
-                left_classes.tolist(),
-                (class_totals - left_classes).tolist(),
-            ):
-                right = total - left
-                gain = parent_impurity - (
-                    left / total * _gini(left_k, left) + right / total * _gini(right_k, right)
-                )
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best_split = (feature_index, threshold)
+            span = slice(starts[feature_index], starts[feature_index + 1])
+            left_counts[span] = np.searchsorted(
+                columns[:, feature_index], thresholds[span], side="right"
+            )
+        allowed = (left_counts >= min_leaf) & (total - left_counts >= min_leaf)
+        features, thresholds, left_counts = (
+            features[allowed], thresholds[allowed], left_counts[allowed]
+        )
+        left_classes = cumulative[left_counts, features]
+        right_classes = class_totals - left_classes
+        right_counts = total - left_counts
+        approximate = parent_impurity - (
+            left_counts / total * (1.0 - ((left_classes / left_counts[:, None]) ** 2).sum(axis=1))
+            + right_counts / total * (1.0 - ((right_classes / right_counts[:, None]) ** 2).sum(axis=1))
+        )
+        # Only candidates within the margin of the best earlier approximate
+        # gain (or of 0.0) can still win; they are scored exactly, in scan
+        # order.
+        earlier_best = np.maximum.accumulate(np.concatenate(([0.0], approximate)))[:-1]
+        survivors = np.flatnonzero(approximate >= earlier_best - _PRUNE_MARGIN)
+        for feature_index, threshold, left, left_k, right_k in zip(
+            features[survivors].tolist(),
+            thresholds[survivors].tolist(),
+            left_counts[survivors].tolist(),
+            left_classes[survivors].tolist(),
+            right_classes[survivors].tolist(),
+        ):
+            right = total - left
+            gain = parent_impurity - (
+                left / total * _gini(left_k, left) + right / total * _gini(right_k, right)
+            )
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best_split = (feature_index, threshold)
 
         if best_split is None:
             return node
@@ -192,25 +229,3 @@ class DecisionTreeClassifier:
             return 1 + max(measure(node.left), measure(node.right))
 
         return measure(self.root)
-
-    def feature_importances(self) -> list[float]:
-        """Total Gini-gain attributed to each feature index, normalized."""
-        importances = np.zeros(self.feature_count)
-
-        def visit(node: TreeNode | None) -> None:
-            if node is None or node.is_leaf:
-                return
-            left, right = node.left, node.right
-            assert left is not None and right is not None and node.feature_index is not None
-            weighted_child = (
-                left.samples * left.impurity + right.samples * right.impurity
-            ) / max(node.samples, 1)
-            importances[node.feature_index] += node.samples * (node.impurity - weighted_child)
-            visit(left)
-            visit(right)
-
-        visit(self.root)
-        total = importances.sum()
-        if total > 0:
-            importances /= total
-        return importances.tolist()

@@ -84,16 +84,6 @@ def speedup_over_static(
     ]
 
 
-def oracle_speedup_over_static(
-    outcomes: list[PredictionOutcome], static_device: str
-) -> list[float]:
-    """Per-observation speedups of the oracle mapping over *static_device*."""
-    return [
-        outcome.static_runtime(static_device) / max(outcome.oracle_runtime, 1e-12)
-        for outcome in outcomes
-    ]
-
-
 def performance_relative_to_oracle(outcomes: list[PredictionOutcome]) -> float:
     """Mean fraction of the oracle performance achieved by the predictions.
 

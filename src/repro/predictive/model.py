@@ -53,13 +53,19 @@ class MappingModel:
     def features_of(self, measurement: KernelMeasurement) -> list[float]:
         return self.feature_extractor(measurement).as_list()
 
+    def rows(
+        self, measurements: list[KernelMeasurement]
+    ) -> tuple[list[list[float]], list[str]]:
+        """Feature vectors and oracle mappings for the platform, one per measurement."""
+        features = [self.features_of(m) for m in measurements]
+        labels = [m.oracle(self.platform) for m in measurements]
+        return features, labels
+
     def fit(self, measurements: list[KernelMeasurement]) -> "MappingModel":
         """Train on measurements labelled by their oracle mapping for the platform."""
         if not measurements:
             raise ValueError("cannot train a mapping model on zero measurements")
-        features = [self.features_of(m) for m in measurements]
-        labels = [m.oracle(self.platform) for m in measurements]
-        self.classifier.fit(features, labels)
+        self.classifier.fit(*self.rows(measurements))
         return self
 
     def predict(self, measurement: KernelMeasurement) -> str:
@@ -69,10 +75,7 @@ class MappingModel:
     def accuracy(self, measurements: list[KernelMeasurement]) -> float:
         if not measurements:
             return 0.0
-        correct = sum(
-            1 for m in measurements if self.predict(m) == m.oracle(self.platform)
-        )
-        return correct / len(measurements)
+        return self.classifier.accuracy(*self.rows(measurements))
 
 
 def GreweModel(platform: str, max_depth: int = 6, min_samples_leaf: int = 2) -> MappingModel:

@@ -31,6 +31,7 @@ from repro.predictive import (
     DecisionTreeClassifier,
     ExtendedModel,
     GreweModel,
+    MappingModel,
     PredictionOutcome,
     TreeNode,
     best_static_device,
@@ -211,14 +212,6 @@ class TestDecisionTree:
         tree = DecisionTreeClassifier(max_depth=2).fit(features, labels)
         assert tree.depth <= 2
 
-    def test_feature_importances_sum_to_one(self):
-        features = [[float(i), float(i % 3)] for i in range(30)]
-        labels = ["cpu" if i < 15 else "gpu" for i in range(30)]
-        tree = DecisionTreeClassifier().fit(features, labels)
-        importances = tree.feature_importances()
-        assert sum(importances) == pytest.approx(1.0)
-        assert importances[0] > importances[1]
-
     def test_empty_training_raises(self):
         with pytest.raises(ValueError):
             DecisionTreeClassifier().fit([], [])
@@ -339,6 +332,50 @@ class TestSplitSearchOracle:
         )
         assert tree_nodes(tree.root) == tree_nodes(oracle)
 
+    # The oracle costs O(thresholds x rows) per node, so few examples.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        rows=st.integers(100, 140),
+        columns=st.integers(2, 11),
+        high=st.integers(1, 12),
+        scale=st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.0**-52]),
+        max_depth=st.integers(1, 8),
+        min_samples_leaf=st.integers(0, 4),
+        min_samples_split=st.integers(0, 6),
+    )
+    def test_presorted_search_grows_the_oracle_tree_at_experiment_shapes(
+        self, data, rows, columns, high, scale, max_depth, min_samples_leaf, min_samples_split
+    ):
+        """Figure 8's extended model fits about 133 rows of 11 features.
+        Some columns are copies of earlier ones, so their gains tie exactly
+        and the lower feature index must win."""
+        fresh = st.lists(st.integers(0, high), min_size=rows, max_size=rows)
+        matrix_columns: list[list[int]] = []
+        for index in range(columns):
+            if index and data.draw(st.booleans()):
+                matrix_columns.append(matrix_columns[data.draw(st.integers(0, index - 1))])
+            else:
+                matrix_columns.append(data.draw(fresh))
+        features = [[1.0 + column[row] * scale for column in matrix_columns] for row in range(rows)]
+        labels = data.draw(st.lists(st.sampled_from(["cpu", "gpu"]), min_size=rows, max_size=rows))
+        tree = DecisionTreeClassifier(
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split,
+        ).fit(features, labels)
+        oracle = mask_oracle_tree(
+            features, labels, max_depth, min_samples_leaf, min_samples_split
+        )
+        assert tree_nodes(tree.root) == tree_nodes(oracle)
+
+    def test_tied_features_split_on_the_lower_index(self):
+        column = [float(row % 7) for row in range(140)]
+        labels = ["cpu" if value < 3 else "gpu" for value in column]
+        features = [[1.0, value, value] for value in column]
+        tree = DecisionTreeClassifier().fit(features, labels)
+        assert tree.root.feature_index == 1 and tree.root.threshold == 2.5
+
 
 class TestPredictiveModels:
     @pytest.fixture(scope="class")
@@ -371,6 +408,41 @@ class TestPredictiveModels:
         result = leave_one_benchmark_out(groups, GreweModel, "AMD")
         assert result.folds == len(groups)
         assert len(result.outcomes) == len(measurements)
+
+    def test_leave_one_benchmark_out_extracts_each_measurement_once(self, measurements):
+        """Every fold trains on the same rows less one program, so one call
+        extracts each measurement's features once and still predicts what a
+        model fitted afresh on each fold predicts."""
+        tests = [m for m in measurements if m.name.startswith("Parboil.")]
+        extra = [m for m in measurements if not m.name.startswith("Parboil.")]
+        groups = group_by_benchmark(tests, lambda m: ".".join(m.name.split(".")[:2]))
+        extracted: Counter = Counter()
+
+        def counting_model(platform: str) -> MappingModel:
+            model = ExtendedModel(platform)
+            extractor = model.feature_extractor
+
+            def counting(measurement):
+                extracted[measurement.name] += 1
+                return extractor(measurement)
+
+            model.feature_extractor = counting
+            return model
+
+        # Figure 3's extra training repeats a synthetic that neighbours two
+        # outliers: the repeat is a second training row, not a second
+        # extraction.
+        extra += extra[:2]
+        result = leave_one_benchmark_out(groups, counting_model, "AMD", extra_training=extra)
+        assert extracted == Counter(m.name for m in measurements)
+
+        reference = []
+        for held_out in sorted(groups):
+            training = [m for other in sorted(groups) if other != held_out for m in groups[other]]
+            model = ExtendedModel("AMD").fit(training + extra)
+            reference.extend((m.name, model.predict(m)) for m in groups[held_out])
+        assert result.folds == len(groups)
+        assert [(o.measurement.name, o.predicted_device) for o in result.outcomes] == reference
 
     def test_metrics(self, measurements):
         model = GreweModel("AMD").fit(measurements)
