@@ -12,12 +12,12 @@
 #                                  #   request), and runs the four-way engine
 #                                  #   differential (71 suite kernels at
 #                                  #   32/8 and at 2048/32, plus 500
-#                                  #   synthesized kernels; ~2.5 minutes)
+#                                  #   synthesized kernels; ~2 minutes)
 #   REPORTS=1 scripts/ci_check.sh  # + the report-digest leg: quick-scale
 #                                  #   run_all for seeds 0-19, one fresh
 #                                  #   process each, whose rendered report
 #                                  #   must hash to perfbench/
-#                                  #   expected_reports.json (~2 minutes)
+#                                  #   expected_reports.json (~1 minute)
 #
 # Tier-1 is every default-selected test under tests/ — the chaos soak
 # stays opt-in because it spawns real worker fleets, which are too heavy

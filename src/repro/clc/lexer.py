@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -30,7 +31,7 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     """A single lexical token.
 
@@ -174,6 +175,15 @@ _MASTER_RE = re.compile(
     + r")"
 )
 
+_NEWLINE_RE = re.compile("\n")
+
+#: Token kind of each fixed-kind group of :data:`_MASTER_RE`.
+_GROUP_KINDS = {
+    "punct": TokenKind.PUNCTUATOR,
+    "str": TokenKind.STRING_LITERAL,
+    "char": TokenKind.CHAR_LITERAL,
+}
+
 
 def _classify_number(text: str) -> TokenKind:
     """INT vs FLOAT literal: a fraction, an exponent or an f/h suffix."""
@@ -216,51 +226,50 @@ def _error_message(source: str, pos: int, group: str | None) -> str:
 def tokenize(source: str) -> list[Token]:
     """Tokenize *source*, returning a list of tokens ending with EOF.
 
-    Drives :data:`_MASTER_RE` down the source: one regex match and one
-    :class:`Token` per token.  Where the pattern fails to match (or matches
-    the ``bad`` group), raises :class:`LexerError` at that position.
+    One :func:`re.finditer` pass over :data:`_MASTER_RE` yields the tokens
+    and the whitespace/comment runs between them, so a run costs no Python
+    work beyond skipping its match.  A match that starts past the end of the
+    previous one (the pattern failed there), the ``bad`` group, or unmatched
+    text after the last match raises :class:`LexerError` at that position.
+
+    Lines and columns come from the offsets of the source's newlines: a
+    token's line is 1 plus the number of newlines before it.  Only the
+    ``ws``, ``str`` and ``char`` groups can contain a newline, so this is
+    the count a scan that follows each match's newlines would keep, for
+    errors and the EOF token too.
     """
-    length = len(source)
+    # offsets[k] is the offset of the k-th newline, offsets[0] a sentinel
+    # before the text: position p lies on line bisect_right(offsets, p),
+    # in column p - offsets[line - 1].
+    offsets = [-1]
+    offsets += [match.start() for match in _NEWLINE_RE.finditer(source)]
     tokens: list[Token] = []
     append = tokens.append
-    master = _MASTER_RE.match
     pos = 0
-    line = 1
-    line_start = 0  # index just past the most recent newline
-    while pos < length:
-        match = master(source, pos)
-        group = match.lastgroup if match else None
-        if group is None or group == "bad":
-            raise LexerError(_error_message(source, pos, group), line, pos - line_start + 1)
-        text = match.group()
-        end = match.end()
+    for match in _MASTER_RE.finditer(source):
+        start = match.start()
+        group = match.lastgroup
+        if start != pos or group == "bad":
+            break
+        pos = match.end()
         if group == "ws":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + text.rfind("\n") + 1
-            pos = end
             continue
-        token_line = line
-        column = pos - line_start + 1
+        line = bisect_right(offsets, start)
         if group == "id":
             # Interning collapses the many repeats of each identifier or
             # keyword across a corpus into one string object, cutting
             # parse-time memory and making dict lookups keyed on token
             # text pointer-comparison fast.
-            text = sys.intern(text)
+            text = sys.intern(match.group())
             kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-        elif group == "punct":
-            kind = TokenKind.PUNCTUATOR
-        elif group == "num":
-            kind = _classify_number(text)
-        else:  # str / char — literals may span lines via escaped newlines
-            kind = TokenKind.STRING_LITERAL if group == "str" else TokenKind.CHAR_LITERAL
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + text.rfind("\n") + 1
-        append(Token(kind, text, token_line, column))
-        pos = end
-    append(Token(TokenKind.EOF, "", line, length - line_start + 1))
+        else:
+            text = match.group()
+            kind = _classify_number(text) if group == "num" else _GROUP_KINDS[group]
+        append(Token(kind, text, line, start - offsets[line - 1]))
+    line = bisect_right(offsets, pos)
+    column = pos - offsets[line - 1]
+    if pos < len(source):
+        failed = _MASTER_RE.match(source, pos)
+        raise LexerError(_error_message(source, pos, failed and failed.lastgroup), line, column)
+    append(Token(TokenKind.EOF, "", line, column))
     return tokens

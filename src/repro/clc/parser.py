@@ -56,6 +56,43 @@ _OPAQUE_TYPE_NAMES = (
 
 _ASSIGNMENT_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+#: Qualifiers a parameter may carry after each pointer star.
+_POINTER_QUALIFIERS = _TYPE_QUALIFIERS | {"__restrict"}
+
+#: Qualifiers that may open a cast's type name.
+_CAST_QUALIFIERS = _ADDRESS_SPACE_QUALIFIERS | _TYPE_QUALIFIERS
+
+#: Binary operators by precedence, loosest first; each level is
+#: left-associative.
+_BINARY_LEVELS: tuple[tuple[str, ...], ...] = (
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
+
+#: The index in :data:`_BINARY_LEVELS` of each binary operator.
+_BINARY_PRECEDENCE = {
+    operator: level for level, operators in enumerate(_BINARY_LEVELS) for operator in operators
+}
+
+_PREFIX_OPERATORS = frozenset({"-", "+", "!", "~", "*", "&", "++", "--"})
+
+#: How deeply statements, expressions, initializer lists and struct bodies
+#: may nest.  Each of the parser's recursive entry points, and each right
+#: operand of a binary operator, counts one level while it runs, and a
+#: deeper input raises :class:`ParseError` instead of exhausting the Python
+#: stack.  Every workload input nests far shallower, and an input at the
+#: limit still leaves room on the stack for the recursive passes after
+#: parsing (semantic checks, lowering and every execution engine).
+MAX_NESTING_DEPTH = 128
+
 
 class Parser:
     """Parses a token stream into a :class:`TranslationUnit`."""
@@ -63,6 +100,7 @@ class Parser:
     def __init__(self, tokens: list[Token], type_table: TypeTable | None = None):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
         self._types = type_table.copy() if type_table else TypeTable()
         for name in _OPAQUE_TYPE_NAMES:
             if not self._types.is_type_name(name):
@@ -72,12 +110,16 @@ class Parser:
     # Token helpers.
     # ------------------------------------------------------------------
 
+    # The EOF token is always last and _advance never moves past it, so
+    # self._tokens[self._pos] is always in range; only lookahead clamps.
+
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        if offset:
+            return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def _at_end(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
+        return self._tokens[self._pos].kind is TokenKind.EOF
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -86,28 +128,44 @@ class Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        return self._peek().text == text and self._peek().kind is not TokenKind.EOF
+        token = self._tokens[self._pos]
+        return token.text == text and token.kind is not TokenKind.EOF
 
     def _check_kind(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._pos].kind is kind
 
     def _match(self, text: str) -> bool:
-        if self._check(text):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.text == text and token.kind is not TokenKind.EOF:
+            self._pos += 1
             return True
         return False
 
     def _expect(self, text: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.text != text or token.kind is TokenKind.EOF:
             raise ParseError(
                 f"expected {text!r} but found {token.text!r}", token.line, token.column
             )
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _error(self, message: str) -> ParseError:
         token = self._peek()
         return ParseError(message + f" (near {token.text!r})", token.line, token.column)
+
+    def _enter(self) -> int:
+        """Count one more nesting level; the caller restores the count on
+        return.  A :class:`ParseError` abandons the parse, so nothing
+        restores it on the way out."""
+        depth = self._depth + 1
+        if depth > MAX_NESTING_DEPTH:
+            token = self._tokens[self._pos]
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING_DEPTH} levels", token.line, token.column
+            )
+        self._depth = depth
+        return depth
 
     # ------------------------------------------------------------------
     # Entry point.
@@ -173,6 +231,7 @@ class Parser:
         self._expect(";")
 
     def _parse_struct_body(self) -> StructType:
+        depth = self._enter()
         self._expect("struct")
         name = ""
         if self._check_kind(TokenKind.IDENTIFIER):
@@ -197,6 +256,7 @@ class Parser:
         struct = StructType(name or "<anonymous>", tuple(fields))
         if name:
             self._types.define_struct(struct)
+        self._depth = depth - 1
         return struct
 
     def _parse_struct_decl(self, unit: ast.TranslationUnit) -> None:
@@ -361,7 +421,7 @@ class Parser:
         pointer_depth = 0
         while self._match("*"):
             pointer_depth += 1
-            while self._peek().text in _TYPE_QUALIFIERS | {"restrict", "__restrict"}:
+            while self._peek().text in _POINTER_QUALIFIERS:
                 self._advance()
 
         declared_type: Type = base_type
@@ -447,43 +507,47 @@ class Parser:
         return ast.CompoundStmt(statements=statements, line=open_token.line)
 
     def parse_statement(self) -> ast.Statement:
-        token = self._peek()
+        depth = self._enter()
+        token = self._tokens[self._pos]
         text = token.text
 
+        statement: ast.Statement
         if text == "{":
-            return self._parse_compound_statement()
-        if text == ";":
+            statement = self._parse_compound_statement()
+        elif text == ";":
             self._advance()
-            return ast.EmptyStmt(line=token.line)
-        if text == "if":
-            return self._parse_if()
-        if text == "for":
-            return self._parse_for()
-        if text == "while":
-            return self._parse_while()
-        if text == "do":
-            return self._parse_do_while()
-        if text == "switch":
-            return self._parse_switch()
-        if text == "return":
+            statement = ast.EmptyStmt(line=token.line)
+        elif text == "if":
+            statement = self._parse_if()
+        elif text == "for":
+            statement = self._parse_for()
+        elif text == "while":
+            statement = self._parse_while()
+        elif text == "do":
+            statement = self._parse_do_while()
+        elif text == "switch":
+            statement = self._parse_switch()
+        elif text == "return":
             self._advance()
             value = None if self._check(";") else self.parse_expression()
             self._expect(";")
-            return ast.ReturnStmt(value=value, line=token.line)
-        if text == "break":
+            statement = ast.ReturnStmt(value=value, line=token.line)
+        elif text == "break":
             self._advance()
             self._expect(";")
-            return ast.BreakStmt(line=token.line)
-        if text == "continue":
+            statement = ast.BreakStmt(line=token.line)
+        elif text == "continue":
             self._advance()
             self._expect(";")
-            return ast.ContinueStmt(line=token.line)
-        if self._starts_declaration():
-            return self._parse_declaration_statement()
-
-        expression = self.parse_expression()
-        self._expect(";")
-        return ast.ExprStmt(expression=expression, line=token.line)
+            statement = ast.ContinueStmt(line=token.line)
+        elif self._starts_declaration():
+            statement = self._parse_declaration_statement()
+        else:
+            expression = self.parse_expression()
+            self._expect(";")
+            statement = ast.ExprStmt(expression=expression, line=token.line)
+        self._depth = depth - 1
+        return statement
 
     def _starts_declaration(self) -> bool:
         token = self._peek()
@@ -597,6 +661,7 @@ class Parser:
         )
 
     def _parse_initializer_list(self) -> ast.InitializerList:
+        depth = self._enter()
         open_token = self._expect("{")
         elements: list[ast.Expression] = []
         if not self._check("}"):
@@ -612,6 +677,7 @@ class Parser:
                 else:
                     elements.append(self.parse_assignment_expression())
         self._expect("}")
+        self._depth = depth - 1
         return ast.InitializerList(elements=elements, line=open_token.line)
 
     def _parse_if(self) -> ast.IfStmt:
@@ -704,14 +770,16 @@ class Parser:
         return expression
 
     def parse_assignment_expression(self) -> ast.Expression:
+        depth = self._enter()
         left = self._parse_ternary()
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.text in _ASSIGNMENT_OPS:
-            self._advance()
+            self._pos += 1
             value = self.parse_assignment_expression()
-            return ast.Assignment(
+            left = ast.Assignment(
                 op=token.text, target=left, value=value, line=token.line, column=token.column
             )
+        self._depth = depth - 1
         return left
 
     def _parse_ternary(self) -> ast.Expression:
@@ -723,59 +791,66 @@ class Parser:
             return ast.TernaryOp(condition=condition, if_true=if_true, if_false=if_false)
         return condition
 
-    _BINARY_LEVELS: list[tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
     def _parse_binary(self, level: int) -> ast.Expression:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        operators = self._BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().text in operators and self._peek().kind is TokenKind.PUNCTUATOR:
-            op_token = self._advance()
-            right = self._parse_binary(level + 1)
+        """Parse operands joined by binary operators of *level* or tighter.
+
+        Precedence climbing over :data:`_BINARY_PRECEDENCE`: each operand
+        is one :meth:`_parse_unary` call, the loop folds operators of
+        *level* or tighter to the left, and only the right operand of an
+        operator recurses, at the next tighter level, so it takes every
+        operator that binds tighter.  The result is the tree a descent
+        through every level of :data:`_BINARY_LEVELS` per operand builds:
+        each level left-associative, and each :class:`~ast.BinaryOp` at its
+        operator token's line and column.  A right operand counts one
+        nesting level while it is parsed, so a chain of ever tighter
+        operators is bounded like nested parentheses.
+        """
+        left = self._parse_unary()
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            op_level = _BINARY_PRECEDENCE.get(token.text)
+            if op_level is None or op_level < level or token.kind is not TokenKind.PUNCTUATOR:
+                return left
+            self._pos += 1
+            depth = self._enter()
+            right = self._parse_binary(op_level + 1)
+            self._depth = depth - 1
             left = ast.BinaryOp(
-                op=op_token.text, left=left, right=right, line=op_token.line, column=op_token.column
+                op=token.text, left=left, right=right, line=token.line, column=token.column
             )
-        return left
 
     def _parse_unary(self) -> ast.Expression:
-        token = self._peek()
-        if token.text in ("-", "+", "!", "~", "*", "&"):
-            self._advance()
+        depth = self._enter()
+        token = self._tokens[self._pos]
+        text = token.text
+        expression: ast.Expression
+        if text in _PREFIX_OPERATORS:
+            self._pos += 1
             operand = self._parse_unary()
-            return ast.UnaryOp(op=token.text, operand=operand, line=token.line)
-        if token.text in ("++", "--"):
-            self._advance()
-            operand = self._parse_unary()
-            return ast.UnaryOp(op=token.text, operand=operand, line=token.line)
-        if token.text == "sizeof":
-            self._advance()
+            expression = ast.UnaryOp(op=text, operand=operand, line=token.line)
+        elif text == "sizeof":
+            self._pos += 1
             if self._match("("):
                 if self._looks_like_type():
                     _, type_name = self._parse_type_specifier()
                     while self._match("*"):
                         type_name += "*"
                     self._expect(")")
-                    return ast.SizeOf(target_type_name=type_name, line=token.line)
-                inner = self.parse_expression()
-                self._expect(")")
-                return ast.SizeOf(target_type_name=str(inner), line=token.line)
-            operand = self._parse_unary()
-            return ast.SizeOf(target_type_name="<expr>", line=token.line)
-        if token.text == "(" and self._is_cast_expression():
-            return self._parse_cast()
-        return self._parse_postfix()
+                else:
+                    inner = self.parse_expression()
+                    self._expect(")")
+                    type_name = str(inner)
+            else:
+                self._parse_unary()
+                type_name = "<expr>"
+            expression = ast.SizeOf(target_type_name=type_name, line=token.line)
+        elif text == "(" and self._is_cast_expression():
+            expression = self._parse_cast()
+        else:
+            expression = self._parse_postfix()
+        self._depth = depth - 1
+        return expression
 
     def _is_cast_expression(self) -> bool:
         """A '(' starts a cast when it is immediately followed by a type."""
@@ -796,7 +871,7 @@ class Parser:
 
     def _parse_cast(self) -> ast.Expression:
         open_token = self._expect("(")
-        while self._peek().text in _ADDRESS_SPACE_QUALIFIERS | _TYPE_QUALIFIERS:
+        while self._peek().text in _CAST_QUALIFIERS:
             self._advance()
         target_type, type_name = self._parse_type_specifier()
         pointer_depth = 0
@@ -831,14 +906,14 @@ class Parser:
     def _parse_postfix(self) -> ast.Expression:
         expression = self._parse_primary()
         while True:
-            token = self._peek()
+            token = self._tokens[self._pos]
             if token.text == "[":
-                self._advance()
+                self._pos += 1
                 index = self.parse_expression()
                 self._expect("]")
                 expression = ast.Index(base=expression, index=index, line=token.line)
             elif token.text == "(" and isinstance(expression, ast.Identifier):
-                self._advance()
+                self._pos += 1
                 arguments: list[ast.Expression] = []
                 if not self._check(")"):
                     arguments.append(self.parse_assignment_expression())
@@ -858,34 +933,34 @@ class Parser:
                     line=token.line,
                 )
             elif token.text in ("++", "--"):
-                self._advance()
+                self._pos += 1
                 expression = ast.PostfixOp(op=token.text, operand=expression, line=token.line)
             else:
                 return expression
 
     def _parse_primary(self) -> ast.Expression:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is TokenKind.INT_LITERAL:
-            self._advance()
+            self._pos += 1
             return ast.IntLiteral(
                 value=_parse_int_literal(token.text), text=token.text, line=token.line
             )
         if token.kind is TokenKind.FLOAT_LITERAL:
-            self._advance()
+            self._pos += 1
             return ast.FloatLiteral(
                 value=_parse_float_literal(token.text), text=token.text, line=token.line
             )
         if token.kind is TokenKind.CHAR_LITERAL:
-            self._advance()
+            self._pos += 1
             return ast.CharLiteral(value=token.text, line=token.line)
         if token.kind is TokenKind.STRING_LITERAL:
-            self._advance()
+            self._pos += 1
             return ast.StringLiteral(value=token.text, line=token.line)
         if token.kind is TokenKind.IDENTIFIER:
-            self._advance()
+            self._pos += 1
             return ast.Identifier(name=token.text, line=token.line, column=token.column)
         if token.text == "(":
-            self._advance()
+            self._pos += 1
             expression = self.parse_expression()
             self._expect(")")
             return expression

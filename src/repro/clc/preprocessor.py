@@ -33,6 +33,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: identifier.  Text between matches cannot start a string or a macro name.
 _EXPAND_SCAN_RE = re.compile(r'"(?:\\[\s\S]|[^"\\])*"?|[A-Za-z_][A-Za-z0-9_]*')
 _DEFINED_CALL_RE = re.compile(r"defined\s*(?:\(\s*(\w+)\s*\)|(\w+))")
+#: What :func:`strip_comments` rewrites: a line comment, a block comment
+#: (group 1; unterminated, it runs to the end of the text) or a string
+#: literal, which is copied verbatim so a comment opener inside it stays.
+_COMMENT_RE = re.compile(r'//[^\n]*|(/\*[\s\S]*?(?:\*/|\Z))|"(?:\\[\s\S]|[^"\\])*"?')
 
 
 @dataclass
@@ -60,45 +64,29 @@ class PreprocessorResult:
 
 
 def strip_comments(source: str) -> str:
-    """Remove block and line comments, preserving newlines for line numbers."""
+    """Remove block and line comments, preserving newlines for line numbers.
+
+    One :data:`_COMMENT_RE` substitution, scanning left to right: a line
+    comment is dropped up to its newline, a block comment becomes its
+    newlines plus one space, and a string literal (an escape taking the
+    next character, an unterminated one running to the end of the text) is
+    copied through, so a comment opener inside it stays.  A character
+    literal gets no special treatment, so a ``"`` inside one opens a
+    string.
+    """
     # No comment opener anywhere (even inside a string, where it would be
-    # copied verbatim) means the scan below is the identity.
+    # copied verbatim) means the substitution is the identity.
     if "//" not in source and "/*" not in source:
         return source
-    out: list[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch == "/" and nxt == "*":
-            i += 2
-            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
-                if source[i] == "\n":
-                    out.append("\n")
-                i += 1
-            i += 2
-            out.append(" ")
-        elif ch == '"':
-            out.append(ch)
-            i += 1
-            while i < n and source[i] != '"':
-                if source[i] == "\\":
-                    out.append(source[i : i + 2])
-                    i += 2
-                    continue
-                out.append(source[i])
-                i += 1
-            if i < n:
-                out.append('"')
-                i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_strip_match, source)
+
+
+def _strip_match(match: re.Match[str]) -> str:
+    block = match.group(1)
+    if block is not None:
+        return "\n" * block.count("\n") + " "
+    text = match.group()
+    return text if text[0] == '"' else ""
 
 
 def _join_continuations(source: str) -> str:
@@ -311,6 +299,16 @@ class Preprocessor:
     # ------------------------------------------------------------------
 
     def _expand_line(self, line: str) -> str:
+        """Expand the macros in *line*, rescanning until nothing changes.
+
+        A line that names no macro comes back unchanged without a scan:
+        :meth:`_expand_once` changes text only at an identifier outside a
+        string literal that names a macro, and every identifier it visits
+        is also one of ``_IDENT_RE.findall(line)``, because no identifier
+        can straddle the ``"`` that bounds a string.
+        """
+        if self._macros.keys().isdisjoint(_IDENT_RE.findall(line)):
+            return line
         text = line
         for _ in range(self._max_expansion_passes):
             expanded = self._expand_once(text)

@@ -81,6 +81,8 @@ class SemanticChecker:
         self._function_arity = {f.name: len(f.parameters) for f in unit.functions}
         self._global_names = {g.declarator.name for g in unit.globals if g.declarator}
         self._typedef_names = {t.name for t in unit.typedefs}
+        #: Whether the function being checked returns ``void``.
+        self._returns_void = False
 
     def check(self) -> SemanticReport:
         """Run all checks and return the report."""
@@ -96,6 +98,7 @@ class SemanticChecker:
     # ------------------------------------------------------------------
 
     def _check_function(self, function: ast.FunctionDecl) -> None:
+        self._returns_void = function.return_type.is_void
         scope = _Scope()
         for name in self._global_names:
             scope.declare(name)
@@ -138,6 +141,17 @@ class SemanticChecker:
             self._check_expression(statement.condition, scope, function)
         elif isinstance(statement, ast.ReturnStmt):
             self._check_expression(statement.value, scope, function)
+            if statement.value is not None and self._returns_void:
+                # C11 6.8.6.4: a return with an expression shall not appear
+                # in a function whose return type is void.
+                self._report.issues.append(
+                    SemanticIssue(
+                        kind="void-return-value",
+                        message=f"void function '{function}' should not return a value",
+                        function=function,
+                        line=statement.line,
+                    )
+                )
         elif isinstance(statement, ast.SwitchStmt):
             self._check_expression(statement.condition, scope, function)
             for case in statement.cases:

@@ -22,7 +22,6 @@ from repro.preprocess.rejection import (
     RejectionFilter,
     RejectionReason,
     RejectionResult,
-    filter_sources,
 )
 from repro.preprocess.rewriter import (
     CodeRewriter,
@@ -56,7 +55,6 @@ __all__ = [
     "SHIM_TYPEDEFS",
     "bag_of_words_vocabulary",
     "discard_rate_with_and_without_shim",
-    "filter_sources",
     "name_sequence",
     "preprocess_content_files",
     "rewrite_source",

@@ -32,6 +32,7 @@ class RejectionReason(Enum):
     UNDECLARED_IDENTIFIER = "undeclared identifier"
     UNDECLARED_FUNCTION = "undeclared function"
     WRONG_ARITY = "wrong call arity"
+    VOID_RETURN_VALUE = "value returned from void function"
     NO_KERNEL = "no kernel function"
     TOO_FEW_INSTRUCTIONS = "fewer than minimum static instructions"
     CODEGEN_ERROR = "code generation error"
@@ -88,6 +89,7 @@ class RejectionFilter:
             reason = {
                 "undeclared-function": RejectionReason.UNDECLARED_FUNCTION,
                 "wrong-arity": RejectionReason.WRONG_ARITY,
+                "void-return-value": RejectionReason.VOID_RETURN_VALUE,
             }.get(first.kind, RejectionReason.UNDECLARED_IDENTIFIER)
             return RejectionResult(
                 accepted=False, reason=reason, detail=first.message, compilation=compilation
@@ -133,16 +135,3 @@ class RejectionFilter:
             return RejectionReason.UNDECLARED_IDENTIFIER
         return RejectionReason.CODEGEN_ERROR
 
-
-def filter_sources(
-    sources: list[str], min_static_instructions: int = 3, use_shim: bool = True
-) -> tuple[list[str], list[RejectionResult]]:
-    """Partition *sources* into accepted texts and per-input results.
-
-    Returns a pair ``(accepted_sources, all_results)`` where ``all_results``
-    is index-aligned with *sources*.
-    """
-    rejection_filter = RejectionFilter(min_static_instructions, use_shim)
-    results = [rejection_filter.check(source) for source in sources]
-    accepted = [source for source, result in zip(sources, results) if result.accepted]
-    return accepted, results

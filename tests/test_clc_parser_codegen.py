@@ -107,6 +107,69 @@ class TestParser:
         assert kernel.parameters[1].declared_type.kind == "uint"
 
 
+
+def _nested_blocks(depth: int) -> str:
+    return "__kernel void k(__global int* a) { " + "{" * depth + " a[0] = 1; " + "}" * depth + " }"
+
+
+def _nested_parentheses(depth: int) -> str:
+    return "__kernel void k(__global int* a) { a[0] = " + "(" * depth + "1" + ")" * depth + "; }"
+
+
+def _nested_sums(depth: int) -> str:
+    expression = "1"
+    for _ in range(depth):
+        expression = f"(1 + {expression})"
+    return "__kernel void k(__global int* a) { a[0] = " + expression + "; }"
+
+
+def _nested_subscripts(depth: int) -> str:
+    expression = "0"
+    for _ in range(depth):
+        expression = f"a[{expression}]"
+    return "__kernel void k(__global int* a) { a[0] = " + expression + "; }"
+
+
+class TestNestingLimit:
+    """Nesting past the parser's limit is a parse error, never a
+    ``RecursionError`` out of the rejection filter."""
+
+    @pytest.mark.parametrize(
+        ("build", "depth"),
+        [(_nested_parentheses, 400), (_nested_subscripts, 400), (_nested_blocks, 1000)],
+    )
+    def test_too_deep_is_a_parse_error_rejection(self, build, depth):
+        from repro.preprocess.rejection import RejectionFilter, RejectionReason
+
+        result = RejectionFilter().check(build(depth))
+        assert result.reason is RejectionReason.PARSE_ERROR
+        assert "nesting deeper than" in result.detail
+
+    @pytest.mark.parametrize("build", [_nested_blocks, _nested_sums, _nested_subscripts])
+    def test_a_kernel_at_the_limit_measures_on_every_engine(self, build):
+        from repro.clc.parser import MAX_NESTING_DEPTH
+        from repro.driver.harness import DriverConfig, HostDriver
+        from repro.preprocess.rejection import RejectionFilter
+
+        rejection_filter = RejectionFilter()
+        # Every level of these shapes counts at least once, so MAX + 1 levels
+        # are over the limit: bisect for the deepest accepted kernel.
+        low, high = 1, MAX_NESTING_DEPTH + 1
+        while high - low > 1:
+            middle = (low + high) // 2
+            if rejection_filter.check(build(middle)).accepted:
+                low = middle
+            else:
+                high = middle
+        assert rejection_filter.check(build(low)).accepted
+        assert "nesting deeper than" in rejection_filter.check(build(low + 1)).detail
+        for engine in ("auto", "vectorized", "compiled", "interpreter"):
+            driver = HostDriver(
+                config=DriverConfig(engine=engine, executed_global_size=32, local_size=16)
+            )
+            assert driver.measure_source(build(low)) is not None, engine
+
+
 class TestSemantics:
     def test_accepts_well_formed_kernel(self, vecadd_source):
         report = check(parse(vecadd_source))

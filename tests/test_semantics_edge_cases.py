@@ -1,8 +1,13 @@
-"""SemanticChecker edge cases: shadowing, call arity, for-init scoping."""
+"""SemanticChecker edge cases: shadowing, call arity, for-init scoping,
+value returns from void functions."""
 
-from repro.clc import parse
+import pytest
+
+from repro.clc import compile_source, parse
 from repro.clc.semantics import check
+from repro.errors import SemanticError
 from repro.preprocess.rejection import RejectionFilter, RejectionReason
+from repro.preprocess.shim import shim_include_resolver, with_shim
 
 
 def _issues(source, require_kernel=False):
@@ -159,3 +164,32 @@ class TestHelperCallArity:
         )
         assert not result.accepted
         assert result.reason is RejectionReason.WRONG_ARITY
+
+
+class TestVoidReturnValue:
+    """C11 6.8.6.4: a ``return`` with an expression shall not appear in a
+    function whose return type is ``void``."""
+
+    KERNEL = "__kernel void k(__global int* a) { a[0] = 1; return 2.5f; }"
+
+    def test_strict_compile_raises(self):
+        with pytest.raises(SemanticError, match="void function 'k' should not return a value"):
+            compile_source(
+                with_shim(self.KERNEL), include_resolver=shim_include_resolver, strict=True
+            )
+
+    def test_rejection_filter_maps_void_return_value(self):
+        result = RejectionFilter().check(self.KERNEL)
+        assert not result.accepted
+        assert result.reason is RejectionReason.VOID_RETURN_VALUE
+
+    def test_helper_returning_a_value_is_flagged(self):
+        issues = _issues(
+            """
+            void store(global float* a) { a[0] = 1.0f; return a[1]; }
+            kernel void k(global float* a) { store(a); }
+            """
+        )
+        assert [(issue.kind, issue.function) for issue in issues] == [
+            ("void-return-value", "store")
+        ]
